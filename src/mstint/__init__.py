@@ -39,6 +39,7 @@ from .quantities import (
     INFINITY,
     SCALE,
     ExtendedValue,
+    GuaranteeError,
     finite,
     format_quantity,
     parse_quantity,
@@ -55,6 +56,7 @@ __all__ = [
     "Edge",
     "ExtendedValue",
     "Graph",
+    "GuaranteeError",
     "InfeasibleError",
     "InfeasibleOracleError",
     "InterdictionSolution",

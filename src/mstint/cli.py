@@ -31,6 +31,7 @@ from .protection import (
     protect,
 )
 from .quantities import (
+    GuaranteeError,
     QuantityParseError,
     format_quantity,
     parse_quantity,
@@ -135,8 +136,8 @@ def _cmd_protect(args) -> int:
         inst = ProtectionInstance(g, candidates)
     except CandidateInvariantError as exc:
         raise InputError(str(exc)) from exc
-    before = eps_increase(g).cost
     chosen, listing = protect(inst)
+    before = listing.optimal_cost
     after = eps_increase(inst.augmented(chosen)).cost
     record = {
         "chosen_candidates": sorted(chosen),
@@ -292,6 +293,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except GuaranteeError as exc:
+        print(f"guarantee violated: {exc}", file=sys.stderr)
+        return EXIT_GUARANTEE
     except (
         ParseError,
         QuantityParseError,

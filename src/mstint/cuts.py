@@ -2,18 +2,28 @@
 
 Cuts are always taken with respect to edge removal COSTS; a filter predicate
 decides which edges participate at all.  Infinity-cost edges are modeled as
-uncuttable (capacity above any finite cut).  The returned cut is canonical:
+uncuttable (capacity above any finite cut).  A minimum s-t cut is canonical:
 the source side is the residual-reachability set after a maximum flow, which
-is the unique source-side-minimal minimum cut.
+is the unique source-side-minimal minimum cut.  The global minimum cut needs
+no flow: it is Stoer-Wagner's maximum-adjacency contraction.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable
 
 from .graph import Edge, Graph
-from .quantities import INFINITY, ExtendedValue, ZERO, checked_sum, finite
+from .mst import UnionFind
+from .quantities import (
+    INFINITY,
+    ZERO,
+    ExtendedValue,
+    GuaranteeError,
+    checked_sum,
+    finite,
+)
 
 EdgeFilter = Callable[[int, Edge], bool]
 
@@ -152,19 +162,93 @@ def min_st_cut(
 
 
 def global_min_cut(g: Graph) -> CutResult:
-    """Minimum-cost complete cut, via n-1 s-t computations from vertex 0."""
-    if g.n_vertices < 2:
+    """Minimum-cost complete cut (Stoer and Wagner 1997), in exact integers.
+
+    Infinite-cost edges get a capacity above any finite cut.  On a
+    disconnected graph the component of vertex 0 is the zero-cost side.
+    The returned side contains vertex 0.
+    """
+    global _mincut_calls
+    n = g.n_vertices
+    if n < 2:
         raise ValueError("global min cut needs at least two vertices")
-    best: CutResult | None = None
-    for t in range(1, g.n_vertices):
-        cut = min_st_cut(g, 0, t)
-        if not cut.edges and cut.cost == ZERO and len(cut.side) < g.n_vertices:
-            # 0 and t already disconnected: the component split is a zero cut
-            return cut
-        if best is None or cut.cost < best.cost:
-            best = cut
-    assert best is not None
-    return best
+    _mincut_calls += 1
+    participating = list(range(g.n_edges))
+    big = checked_sum(e.cost for e in g.edges if e.cost is not None) + 1
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for e in g.edges:
+        capacity = big if e.cost is None else e.cost
+        adj[e.u][e.v] = adj[e.u].get(e.v, 0) + capacity
+        adj[e.v][e.u] = adj[e.v].get(e.u, 0) + capacity
+    seen = {0}
+    stack = [0]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    if len(seen) < n:
+        return _cut_of_side(g, participating, seen)
+    value, side = _stoer_wagner(adj)
+    if 0 not in side:
+        side = set(range(n)) - side
+    result = _cut_of_side(g, participating, side)
+    if result.cost != (INFINITY if value >= big else finite(value)):
+        raise GuaranteeError(
+            f"cut cost {result.cost} differs from its Stoer-Wagner phase value"
+        )
+    return result
+
+
+def _stoer_wagner(adj: list[dict[int, int]]) -> tuple[int, set[int]]:
+    """Minimum cut value and one side of a connected capacity graph.
+
+    Each phase grows a maximum-adjacency order with a lazy max-heap (ties
+    to the lower vertex); the last two vertices are then merged.  `adj`
+    is consumed.
+    """
+    n = len(adj)
+    added = [-1] * n  # phase in which the vertex joined the order
+    merges: list[tuple[int, int]] = []
+    best: tuple[int, int, int] | None = None  # (value, phase, last vertex)
+    start = 0
+    for phase in range(n - 1):
+        key: dict[int, int] = {}
+        heap = [(0, start)]
+        prev = last = start
+        value = 0
+        while heap:
+            neg_key, v = heappop(heap)
+            if added[v] == phase:
+                continue
+            added[v] = phase
+            prev, last, value = last, v, -neg_key
+            for x, capacity in adj[v].items():
+                if added[x] != phase:
+                    k = key.get(x, 0) + capacity
+                    key[x] = k
+                    heappush(heap, (-k, x))
+        # the phase's cut: `last` (with all merged into it) against the rest
+        if best is None or value < best[0]:
+            best = (value, phase, last)
+        keep, gone = (prev, last) if len(adj[prev]) >= len(adj[last]) else (last, prev)
+        merged = adj[keep]
+        merged.pop(gone, None)
+        for x, capacity in adj[gone].items():
+            if x != keep:
+                merged[x] = merged.get(x, 0) + capacity
+                neighbour = adj[x]
+                del neighbour[gone]
+                neighbour[keep] = neighbour.get(keep, 0) + capacity
+        adj[gone] = {}
+        merges.append((keep, gone))
+        start = keep
+    value, phase, last = best
+    groups = UnionFind(n)
+    for keep, gone in merges[:phase]:
+        groups.union(keep, gone)
+    root = groups.find(last)
+    return value, {v for v in range(n) if groups.find(v) == root}
 
 
 def _free_closed_sets(order: list[int], succ: dict[int, set[int]], limit: int):

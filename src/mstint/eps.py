@@ -1,17 +1,29 @@
 """Exact minimum-cost interdiction that increases the MST weight at all.
 
-For each MST edge e = {u, v}: contract every edge lighter than e, drop every
-edge heavier than e, and take the cheapest cut separating the contracted
-images of u and v.  The cheapest cut over all tree edges is optimal.
+For a tree edge e of weight w, contract every edge lighter than w and drop
+every edge heavier: the cheapest cut separating the images of e's endpoints
+is the cheapest increase through e.  That auxiliary graph depends only on
+w, and the tree edges of weight w span each of its components, so the
+cheapest cut over a whole weight class is one global minimum cut per
+component.  One ascending sweep over the distinct weights builds every
+component; the cheapest of their cuts is optimal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from typing import Iterator
 
-from .cuts import min_st_cut
+from .cuts import CutResult, global_min_cut
 from .graph import Edge, Graph
-from .mst import DisconnectedGraphError, PartialCutSpec, UnionFind, mst, partial_cut
-from .quantities import INFINITY
+from .mst import (
+    DisconnectedGraphError,
+    PartialCutSpec,
+    UnionFind,
+    is_connected,
+    partial_cut,
+)
+from .quantities import INFINITY, GuaranteeError
 from .solution import InterdictionSolution, make_solution
 
 
@@ -21,80 +33,105 @@ class NoFiniteCutError(ValueError):
 
 @dataclass(frozen=True)
 class ContractedInstance:
-    """Auxiliary graph for one tree edge, with a map back to g."""
+    """One component of a weight class's auxiliary graph, with maps back to g.
+
+    Its vertices are classes of G_<w (g with every edge lighter than w
+    contracted); its edges are the weight-w edges between them.
+    """
 
     aux: Graph
     orig_index: tuple[int, ...]  # aux edge index -> original edge index
-    vertex_class: tuple[int, ...]  # original vertex -> aux vertex
-    s: int
-    t: int
+    members: tuple[tuple[int, ...], ...]  # aux vertex -> original vertices
+    threshold: int | None  # W', the next distinct weight above w
+
+    def realize(self, g: Graph, cut: CutResult) -> PartialCutSpec:
+        """The partial cut C(S, W') of an aux cut, checked to cut the same edges."""
+        side = frozenset(v for a in cut.side for v in self.members[a])
+        spec = partial_cut(g, side, self.threshold)
+        if spec.edges != frozenset(self.orig_index[i] for i in cut.edges):
+            raise GuaranteeError("contracted cut does not realize its partial cut")
+        return spec
 
 
-def contracted_instance(g: Graph, tree_edge: int) -> ContractedInstance:
-    pivot = g.edges[tree_edge]
-    uf = UnionFind(g.n_vertices)
-    for e in g.edges:
-        if e.weight < pivot.weight:
-            uf.union(e.u, e.v)
-    roots = sorted({uf.find(v) for v in range(g.n_vertices)})
-    relabel = {r: i for i, r in enumerate(roots)}
-    vertex_class = tuple(relabel[uf.find(v)] for v in range(g.n_vertices))
-
+def contracted_instance(
+    g: Graph,
+    crossing: list[tuple[int, int, int]],
+    members: dict[int, list[int]],
+    threshold: int | None,
+) -> ContractedInstance:
+    """Auxiliary graph of one component from its (edge, root u, root v) triples."""
+    label: dict[int, int] = {}
     aux_edges = []
-    orig_index = []
-    for i, e in enumerate(g.edges):
-        if e.weight > pivot.weight:
-            continue
-        cu, cv = vertex_class[e.u], vertex_class[e.v]
-        if cu == cv:
-            continue  # contracted into a self-loop
-        aux_edges.append(Edge(cu, cv, e.weight, e.cost))
-        orig_index.append(i)
-    s, t = vertex_class[pivot.u], vertex_class[pivot.v]
-    assert s != t, "an MST edge cannot be contracted away"
+    for i, ru, rv in crossing:
+        e = g.edges[i]
+        a = label.setdefault(ru, len(label))
+        b = label.setdefault(rv, len(label))
+        aux_edges.append(Edge(a, b, e.weight, e.cost))
     return ContractedInstance(
-        Graph(len(roots), tuple(aux_edges)), tuple(orig_index), vertex_class, s, t
+        Graph(len(label), tuple(aux_edges)),
+        tuple(i for i, _, _ in crossing),
+        tuple(tuple(members[r]) for r in label),
+        threshold,
     )
 
 
-def next_distinct_weight(g: Graph, weight: int) -> int | None:
-    """Smallest edge weight strictly above `weight`, or None."""
-    above = [w for w in g.distinct_weights() if w > weight]
-    return min(above) if above else None
+def class_components(g: Graph) -> Iterator[ContractedInstance]:
+    """Every auxiliary component, by ascending weight class.
+
+    Within a class, components come in order of their lowest edge index.
+    One union-find grows class by class, so the whole sweep costs one sort
+    plus near-linear work per class.
+    """
+    order = sorted(range(g.n_edges), key=lambda i: (g.edges[i].weight, i))
+    batches = [list(b) for _, b in groupby(order, key=lambda i: g.edges[i].weight)]
+    uf = UnionFind(g.n_vertices)
+    members = {v: [v] for v in range(g.n_vertices)}
+    for k, batch in enumerate(batches):
+        roots = [(i, uf.find(g.edges[i].u), uf.find(g.edges[i].v)) for i in batch]
+        crossing = [(i, ru, rv) for i, ru, rv in roots if ru != rv]
+        if not crossing:
+            continue
+        for _, ru, rv in crossing:
+            uf.union(ru, rv)
+        components: dict[int, list[tuple[int, int, int]]] = {}
+        for triple in crossing:
+            components.setdefault(uf.find(triple[1]), []).append(triple)
+        threshold = g.edges[batches[k + 1][0]].weight if k + 1 < len(batches) else None
+        for part in components.values():
+            yield contracted_instance(g, part, members, threshold)
+        for r in dict.fromkeys(r for _, ru, rv in crossing for r in (ru, rv)):
+            root = uf.find(r)
+            if r != root:
+                big, small = members[root], members.pop(r)
+                if len(big) < len(small):
+                    big, small = small, big
+                big.extend(small)
+                members[root] = big
 
 
 def eps_increase(g: Graph) -> InterdictionSolution:
     """Cheapest edge set whose removal strictly increases the MST weight.
 
-    Ties between tree edges break to the lower edge index.  The solution
-    trace carries the chosen cut as a partial cut C(S, W') where W' is the
-    next distinct weight above the pivot tree edge.
+    Ties go to the lowest weight class, then to its component with the
+    lowest edge index.  The solution trace carries the chosen cut as a
+    partial cut C(S, W') where W' is the next distinct weight above the
+    class weight.
     """
     if g.n_vertices < 2:
         raise ValueError("need at least two vertices")
-    tree = mst(g)
-    if not tree.weight.is_finite:
+    if not is_connected(g):
         raise DisconnectedGraphError("graph is disconnected")
 
-    best = None  # (cost, tree_edge, cut_spec, edge set)
-    for tree_edge in sorted(tree.edges):
-        inst = contracted_instance(g, tree_edge)
-        cut = min_st_cut(inst.aux, inst.s, inst.t)
-        if cut.cost == INFINITY:
+    best: tuple[CutResult, PartialCutSpec] | None = None
+    for inst in class_components(g):
+        cut = global_min_cut(inst.aux)
+        if cut.cost == INFINITY or (best is not None and cut.cost >= best[0].cost):
             continue
-        assert cut.cost.is_finite and cut.edges, "MST edge endpoints stay separable"
-        if best is not None and cut.cost.units >= best[0]:
-            continue
-        edges = frozenset(inst.orig_index[i] for i in cut.edges)
-        side = frozenset(
-            v for v in range(g.n_vertices) if inst.vertex_class[v] in cut.side
-        )
-        threshold = next_distinct_weight(g, g.edges[tree_edge].weight)
-        spec = partial_cut(g, side, threshold)
-        assert spec.edges == edges, "contracted cut must realize a partial cut"
-        best = (cut.cost.units, tree_edge, spec, edges)
+        best = (cut, inst.realize(g, cut))
 
     if best is None:
         raise NoFiniteCutError("every candidate cut has infinite cost")
-    _, _, spec, edges = best
-    return make_solution(g, edges, cuts=(spec,))
+    cut, spec = best
+    if not (cut.cost.is_finite and spec.edges):
+        raise GuaranteeError("the cheapest class cut must be finite and nonempty")
+    return make_solution(g, spec.edges, cuts=(spec,))

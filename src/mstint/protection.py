@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cuts import enumerate_min_st_cuts
-from .eps import contracted_instance, eps_increase, next_distinct_weight
+from .cuts import enumerate_min_st_cuts, global_min_cut, min_st_cut
+from .eps import NoFiniteCutError, class_components
 from .graph import Candidate, Edge, Graph
 from .mst import DisconnectedGraphError, PartialCutSpec, is_connected, mst
 
@@ -46,39 +46,46 @@ class ProtectionInstance:
 class OptimalCutListing:
     cuts: tuple[PartialCutSpec, ...]
     optimal_cost: int
-    complete: bool  # False if any per-tree-edge enumeration was truncated
+    # False if an enumeration that could hold an optimal cut was truncated
+    complete: bool
 
 
 def list_optimal_cuts(g: Graph) -> OptimalCutListing:
     """All optimal-cost cuts the minimum-increase algorithm considers.
 
-    Enumerates minimum s-t cuts per tree edge (capped at 4*n^2 each) and
-    keeps those matching the optimal increase cost, de-duplicated by
-    realized edge set.
+    Walks the weight-class sweep of `eps_increase`.  Only in a component
+    whose global minimum cut costs the optimum, and only for a tree edge
+    whose own minimum s-t cut does too, are the minimum s-t cuts enumerated
+    (capped at 4*n^2 each); every other cut costs more than the optimum.
+    Cuts are de-duplicated by realized edge set.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("graph is disconnected")
-    optimum = eps_increase(g).cost
+    classes = [(inst, global_min_cut(inst.aux)) for inst in class_components(g)]
+    finite_costs = [cut.cost for _, cut in classes if cut.cost.is_finite]
+    if not finite_costs:
+        raise NoFiniteCutError("every candidate cut has infinite cost")
+    optimum = min(finite_costs)
+    tree = mst(g).edges
     cap = 4 * g.n_vertices * g.n_vertices
     complete = True
     by_edges: dict[frozenset[int], PartialCutSpec] = {}
-    for tree_edge in sorted(mst(g).edges):
-        inst = contracted_instance(g, tree_edge)
-        cuts, truncated = enumerate_min_st_cuts(inst.aux, inst.s, inst.t, cap=cap)
-        complete = complete and not truncated
-        threshold = next_distinct_weight(g, g.edges[tree_edge].weight)
-        for cut in cuts:
-            if not cut.cost.is_finite or cut.cost.units != optimum:
+    for inst, class_cut in classes:
+        if class_cut.cost != optimum:
+            continue
+        for i, e in enumerate(inst.aux.edges):
+            if inst.orig_index[i] not in tree:
                 continue
-            edges = frozenset(inst.orig_index[i] for i in cut.edges)
-            if edges in by_edges:
+            if min_st_cut(inst.aux, e.u, e.v).cost != optimum:
                 continue
-            side = frozenset(
-                v for v in range(g.n_vertices) if inst.vertex_class[v] in cut.side
-            )
-            by_edges[edges] = PartialCutSpec(side, threshold, edges)
+            cuts, truncated = enumerate_min_st_cuts(inst.aux, e.u, e.v, cap=cap)
+            complete = complete and not truncated
+            for cut in cuts:
+                edges = frozenset(inst.orig_index[j] for j in cut.edges)
+                if edges not in by_edges:
+                    by_edges[edges] = inst.realize(g, cut)
     listed = tuple(sorted(by_edges.values(), key=lambda c: sorted(c.edges)))
-    return OptimalCutListing(listed, optimum, complete)
+    return OptimalCutListing(listed, optimum.units, complete)
 
 
 def covers(candidate: Candidate, cut: PartialCutSpec) -> bool:

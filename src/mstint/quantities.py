@@ -24,6 +24,13 @@ class QuantityParseError(ValueError):
     """A decimal token could not be converted to an exact quantity."""
 
 
+class GuaranteeError(Exception):
+    """An exact recomputation contradicts what an algorithm claims.
+
+    Raised by explicit checks, not `assert`, so `python -O` keeps them.
+    """
+
+
 def check_quantity(units: int) -> int:
     if not -QUANTITY_MAX - 1 <= units <= QUANTITY_MAX:
         raise QuantityOverflowError(f"quantity out of range: {units}")

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mstint
+from mstint import eps
 from mstint.cli import main
+from mstint.cuts import CutResult
 
 T3 = "3 3\n0 1 1 1\n1 2 2 1\n0 2 3 1\n"
 P2 = "2 1\n0 1 5 3\n"
@@ -34,6 +40,41 @@ def test_eps_increase(capsys, t3_file):
     assert record["edges"] == [0]
     assert record["cost"] == "1"
     assert record["profit"] == "2"
+
+
+def test_eps_increase_large_unit_cycle(capsys, tmp_path):
+    # every vertex in one class: a recursive flow DFS this deep used to end
+    # in RecursionError; the -O run shows no check relies on `assert`
+    n = 1200
+    path = tmp_path / "cycle.txt"
+    path.write_text(f"{n} {n}\n" + "".join(f"{i} {(i + 1) % n} 1 1\n" for i in range(n)))
+    code, out, _ = run(capsys, ["eps-increase", str(path), "--json"])
+    assert code == 0
+    assert json.loads(out)["cost"] == "2"
+    src = os.path.dirname(os.path.dirname(mstint.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "mstint.cli", "eps-increase", str(path), "--json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["cost"] == "2"
+
+
+def test_guarantee_error_exits_1(capsys, monkeypatch, t3_file):
+    # a class cut whose edges disagree with its side fails the realize check
+    real = eps.global_min_cut
+
+    def edgeless(aux):
+        cut = real(aux)
+        return CutResult(cut.side, frozenset(), cut.cost)
+
+    monkeypatch.setattr(eps, "global_min_cut", edgeless)
+    code, _, err = run(capsys, ["eps-increase", t3_file])
+    assert code == 1
+    assert err.startswith("guarantee violated:")
 
 
 def test_stdin_instance(capsys, monkeypatch):

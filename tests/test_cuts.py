@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import brute_min_st_cut_cost, brute_min_st_cut_sides
+from conftest import brute_components, brute_min_st_cut_cost, brute_min_st_cut_sides
 from mstint.cuts import (
     enumerate_min_st_cuts,
     global_min_cut,
@@ -121,3 +121,32 @@ def test_s_equals_t_rejected(t3):
         min_st_cut(t3, 1, 1)
     with pytest.raises(ValueError):
         enumerate_min_st_cuts(t3, 1, 1)
+
+
+def brute_global_min_cut_cost(g: Graph):
+    return min(
+        brute_min_st_cut_cost(g, 0, t, range(g.n_edges)) for t in range(1, g.n_vertices)
+    )
+
+
+def test_global_min_cut_matches_bruteforce():
+    rng = random.Random(11)
+    disconnected = infinite = 0
+    for seed in range(300):
+        n = 2 + seed % 9
+        edges = []
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            cost = None if rng.random() < 0.2 else rng.randint(1, 6)
+            edges.append(Edge(u, v, 0, cost))
+        g = Graph(n, tuple(edges))
+        cut = global_min_cut(g)
+        assert cut.cost == brute_global_min_cut_cost(g), seed
+        assert 0 in cut.side and len(cut.side) < n
+        crossing = {
+            i for i, e in enumerate(g.edges) if (e.u in cut.side) != (e.v in cut.side)
+        }
+        assert cut.edges == crossing
+        disconnected += len(brute_components(g)) > 1
+        infinite += cut.cost == INFINITY
+    assert disconnected >= 20 and infinite >= 20

@@ -1,12 +1,7 @@
 import pytest
 
 from mstint.cuts import mincut_call_count, reset_mincut_calls
-from mstint.eps import (
-    NoFiniteCutError,
-    contracted_instance,
-    eps_increase,
-    next_distinct_weight,
-)
+from mstint.eps import NoFiniteCutError, class_components, eps_increase
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
 from mstint.mst import DisconnectedGraphError, mst, profit
@@ -63,12 +58,36 @@ def test_matches_oracle_on_random_instances():
         assert sol.profit == profit(g, sol.edges)
 
 
-def test_exactly_n_minus_1_mincut_calls():
+def class_component_count(g: Graph) -> int:
+    """Components with >= 2 vertices of each tree weight's auxiliary graph,
+    rebuilt from scratch per weight: G with lighter edges contracted."""
+    count = 0
+    for w in sorted({g.edges[i].weight for i in mst(g).edges}):
+        cls = list(range(g.n_vertices))
+        for _ in range(g.n_vertices):  # label propagation to a fixed point
+            for e in g.edges:
+                if e.weight < w:
+                    cls[e.u] = cls[e.v] = min(cls[e.u], cls[e.v])
+        pairs = [(cls[e.u], cls[e.v]) for e in g.edges if e.weight == w]
+        comp = {c: c for c in cls}
+        for _ in range(g.n_vertices):
+            for a, b in pairs:
+                comp[a] = comp[b] = min(comp[a], comp[b])
+        count += len({comp[a] for a, b in pairs if a != b})
+    return count
+
+
+def test_one_global_min_cut_per_class_component():
     for seed in (1, 5, 9):
         g = gen_random(seed, 7, 12, 5, 5)
         reset_mincut_calls()
         eps_increase(g)
-        assert mincut_call_count() == g.n_vertices - 1
+        assert mincut_call_count() == class_component_count(g)
+    # a unit-weight cycle is one class with one component
+    cycle = Graph(5, tuple(Edge(i, (i + 1) % 5, 1, 1) for i in range(5)))
+    reset_mincut_calls()
+    eps_increase(cycle)
+    assert mincut_call_count() == class_component_count(cycle) == 1
 
 
 def test_rejects_disconnected():
@@ -87,18 +106,20 @@ def test_no_finite_cut():
 
 def test_contracted_instance_t3(t3):
     tree = mst(t3)
-    # pivot e1 (w=2): e0 contracts {0,1}; e2 (w=3) dropped
-    inst = contracted_instance(t3, 1)
-    assert inst.aux.n_vertices == 2
-    assert inst.orig_index == (1,)
-    assert inst.vertex_class[0] == inst.vertex_class[1]
-    assert {inst.s, inst.t} == {inst.vertex_class[1], inst.vertex_class[2]}
+    # e2 (w=3) joins a single class of G_<3, so only two classes have a
+    # component; at w=2, e0 contracts {0,1} and e2 is dropped
+    first, second = class_components(t3)
+    assert first.orig_index == (0,)
+    assert second.aux.n_vertices == 2
+    assert second.orig_index == (1,)
+    assert sorted(map(sorted, second.members)) == [[0, 1], [2]]
     assert 1 in tree.edges
 
 
-def test_next_distinct_weight(t3):
-    assert next_distinct_weight(t3, 1_000_000) == 2_000_000
-    assert next_distinct_weight(t3, 3_000_000) is None
+def test_next_distinct_weight(t3, p2):
+    # each class cut is taken at W', the next distinct weight above its class
+    assert [c.threshold for c in class_components(t3)] == [2_000_000, 3_000_000]
+    assert [c.threshold for c in class_components(p2)] == [None]
 
 
 def test_deterministic():
