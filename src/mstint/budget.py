@@ -1,16 +1,39 @@
-"""Greedy budget interdiction: doubling search over budget guesses plus a
-best-ratio partial-cut scan per round, with a fast variant that reuses the
-cuts computed on the input graph.
+"""Greedy budget interdiction, and the cut engine that budget and profit share.
+
+The engine turns (edge e, threshold W) pairs into partial cuts.  A pair's
+cut is the canonical minimum u-v cut (u, v the ends of e) over the
+participating set P = {i alive : w_i < W}, and its claimed gain is
+W - w(e).  `best_ratio_cut` returns the best gain/cost cut whose cost fits
+in an allowance: the live budget greedy passes its budget guess, the profit
+greedy what is left of its hard budget.  Two devices cut the number of
+max-flows without changing any answer:
+
+- `CutMemo` keeps the cuts of one top-level call per (threshold, P): one
+  table for the input graph's P and one for the latest other P.  A greedy
+  round removes only edges lighter than its own threshold, so most
+  thresholds keep their P, and their cuts, from round to round and from one
+  budget guess to the next.
+- For W > w(e), e itself lies in P and joins u and v, so every u-v cut costs
+  at least c(e) and the pair's ratio is at most (W - w(e)) / c(e).  The scan
+  visits pairs in descending order of that bound and takes a cut only while
+  the bound can still beat the best cut found so far; the order of `_better`
+  is total, so the best cut is the same as that of a scan over every pair.
+
+The fast variant computes the pairs' cuts once on the input graph and
+re-scores the stored cuts against the surviving edges.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 
-from .cuts import global_min_cut, min_st_cut
+from .cuts import CutResult, global_min_cut, min_st_cut
 from .graph import Graph
 from .mst import DisconnectedGraphError, is_connected, partial_cut, profit
-from .quantities import ExtendedValue, checked_sum, finite, log2_bounds
+from .quantities import checked_sum, finite, log2_bounds
 from .solution import GreedyRound, GreedyTrace, InterdictionSolution, make_solution
 
 
@@ -19,10 +42,10 @@ class InfeasibleError(ValueError):
 
 
 @dataclass(frozen=True)
-class Candidate:
-    """One (edge, W) scan result: a partial cut with its claimed gain."""
+class ScoredCut:
+    """One (edge, W) partial cut with its claimed gain."""
 
-    gain: int  # W - w(defining edge), > 0 for admissible candidates
+    gain: int  # W - w(defining edge), > 0
     cost: int  # cost of the realized cut edges
     edge: int  # defining edge index
     threshold: int  # W
@@ -34,7 +57,7 @@ class Candidate:
         return Fraction(self.gain, self.cost)
 
 
-def _better(a: Candidate, b: Candidate | None) -> bool:
+def _better(a: ScoredCut, b: ScoredCut | None) -> bool:
     """Strictly better ratio; ties by (cost, defining edge, threshold)."""
     if b is None:
         return True
@@ -45,6 +68,109 @@ def _better(a: Candidate, b: Candidate | None) -> bool:
     return (a.cost, a.edge, a.threshold) < (b.cost, b.edge, b.threshold)
 
 
+class CutMemo:
+    """Minimum u-v cuts of one graph, kept for one top-level call.
+
+    Per threshold W it holds two tables (u, v) -> `CutResult`: one for the
+    input graph's participating set {i : w_i < W} and one for the latest
+    other set asked for.  Nothing outlives the memo.
+    """
+
+    def __init__(self, g: Graph, weights: list[int]):
+        self.g = g
+        self.weights = weights
+        self._by_weight = sorted(range(g.n_edges), key=lambda i: g.edges[i].weight)
+        self._sorted_weights = [g.edges[i].weight for i in self._by_weight]
+        # W -> (participating set, its table): the input graph's set and the
+        # latest other one
+        self._base: dict[int, tuple[frozenset[int], dict]] = {}
+        self._latest: dict[int, tuple[frozenset[int], dict]] = {}
+
+    @cached_property
+    def pairs(self) -> list[tuple[int, int]]:
+        """(edge, W) pairs with W > w(e) and finite c(e), by descending
+        bound (W - w(e)) / c(e), then by `_better`'s tie key.
+
+        The integer key floor(gain * 2**128 / c(e)) orders the bounds
+        exactly: gains and costs stay below 2**63, so two different bounds
+        differ by more than 2**-126.
+        """
+        keyed = [
+            (-(((w_threshold - e.weight) << 128) // e.cost), e.cost, i, w_threshold)
+            for i, e in enumerate(self.g.edges)
+            if e.cost is not None
+            for w_threshold in self.weights
+            if w_threshold > e.weight
+        ]
+        keyed.sort()
+        return [(i, w_threshold) for _, _, i, w_threshold in keyed]
+
+    def cuts_at(
+        self, threshold: int, alive: set[int] | None
+    ) -> Callable[[int, int], CutResult]:
+        """Memoized min u-v cut over {i in alive : w_i < threshold}; `alive`
+        None stands for every edge of the graph."""
+        lighter = self._by_weight[: bisect_left(self._sorted_weights, threshold)]
+        base = self._base.get(threshold)
+        if base is None:
+            base = self._base[threshold] = (frozenset(lighter), {})
+        participating, table = base
+        if alive is not None and len(alive) < self.g.n_edges:
+            current = frozenset(i for i in lighter if i in alive)
+            if current != participating:
+                latest = self._latest.get(threshold)
+                if latest is None or latest[0] != current:
+                    latest = self._latest[threshold] = (current, {})
+                participating, table = latest
+        g = self.g
+
+        def cut(u: int, v: int) -> CutResult:
+            result = table.get((u, v))
+            if result is None:
+                result = table[u, v] = min_st_cut(
+                    g, u, v, lambda i, _e: i in participating
+                )
+            return result
+
+        return cut
+
+
+def best_ratio_cut(memo: CutMemo, alive: set[int], room: int) -> ScoredCut | None:
+    """Best gain/cost cut of cost at most `room` over the live (edge, W)
+    pairs of the memo's graph, under the total order of `_better`."""
+    g = memo.g
+    best: ScoredCut | None = None
+    cuts_at: dict[int, Callable[[int, int], CutResult]] = {}
+    for edge_idx, w_threshold in memo.pairs:
+        e = g.edges[edge_idx]
+        if edge_idx not in alive or e.cost > room:
+            continue  # every cut of the pair costs at least c(e)
+        gain = w_threshold - e.weight
+        if best is not None:
+            lhs = gain * best.cost
+            rhs = best.gain * e.cost
+            if lhs < rhs:
+                break  # no bound from here on reaches the best ratio
+            if lhs == rhs and (e.cost, edge_idx, w_threshold) > (
+                best.cost,
+                best.edge,
+                best.threshold,
+            ):
+                continue
+        cut_of = cuts_at.get(w_threshold)
+        if cut_of is None:
+            cut_of = cuts_at[w_threshold] = memo.cuts_at(w_threshold, alive)
+        cut = cut_of(e.u, e.v)
+        if not cut.cost.is_finite or cut.cost.units > room:
+            continue
+        cand = ScoredCut(
+            gain, cut.cost.units, edge_idx, w_threshold, cut.edges, cut.side
+        )
+        if _better(cand, best):
+            best = cand
+    return best
+
+
 def _relaxed_budget_cap(n: int, budget: int) -> Fraction:
     # (1 + 2*log2 n) * budget with a conservative rational upper bound on
     # log2 n: allowing an extra round never breaks the cost analysis.
@@ -52,36 +178,8 @@ def _relaxed_budget_cap(n: int, budget: int) -> Fraction:
     return (1 + 2 * ub) * budget
 
 
-def _scan_live(
-    g: Graph, alive: set[int], weights: list[int], budget: int
-) -> Candidate | None:
-    """Best-ratio admissible cut over all (live edge, weight) pairs."""
-    best: Candidate | None = None
-    for edge_idx in sorted(alive):
-        e = g.edges[edge_idx]
-        for w_threshold in weights:
-            gain = w_threshold - e.weight
-            if gain <= 0:
-                continue
-            cut = min_st_cut(
-                g,
-                e.u,
-                e.v,
-                lambda i, ed: i in alive and ed.weight < w_threshold,
-            )
-            if not cut.cost.is_finite:
-                continue
-            cost = cut.cost.units
-            if not (0 < cost <= budget):
-                continue
-            cand = Candidate(gain, cost, edge_idx, w_threshold, cut.edges, cut.side)
-            if _better(cand, best):
-                best = cand
-    return best
-
-
 def _run_greedy(
-    g: Graph, budget: int, delta: int, weights: list[int], scan
+    g: Graph, budget: int, delta: int, scan
 ) -> tuple[frozenset[int], GreedyTrace]:
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -127,43 +225,49 @@ def greedy(g: Graph, budget: int, delta: int, weights: list[int]) -> frozenset[i
     Returns the removal set if it reaches the target profit, else the empty
     set (the in-band failure signal).
     """
+    memo = CutMemo(g, weights)
     edges, _ = _run_greedy(
-        g,
-        budget,
-        delta,
-        weights,
-        lambda alive, b, _spent: _scan_live(g, alive, weights, b),
+        g, budget, delta, lambda alive, b, _spent: best_ratio_cut(memo, alive, b)
     )
     return edges
 
 
-def collect_candidate_cuts(g: Graph, weights: list[int]) -> list[Candidate]:
-    """All (edge, W) cuts on the input graph: the fast variant's cut pool.
+def collect_candidate_cuts(g: Graph, weights: list[int]) -> list[ScoredCut]:
+    """All finite (edge, W) cuts on the input graph: the fast variant's pool.
 
-    Performs exactly len(weights) * n_edges min-cut computations.
+    Only pairs with W > w(e) and finite c(e) can give one, and pairs with
+    the same (u, v, W) share one min-cut computation.
     """
+    memo = CutMemo(g, weights)
+    cuts_at = {w_threshold: memo.cuts_at(w_threshold, None) for w_threshold in weights}
     pool = []
-    for edge_idx in range(g.n_edges):
-        e = g.edges[edge_idx]
+    for edge_idx, e in enumerate(g.edges):
+        if e.cost is None:
+            continue
         for w_threshold in weights:
-            cut = min_st_cut(g, e.u, e.v, lambda i, ed: ed.weight < w_threshold)
+            if w_threshold <= e.weight:
+                continue
+            cut = cuts_at[w_threshold](e.u, e.v)
             if not cut.cost.is_finite:
                 continue
-            gain = w_threshold - e.weight
-            if gain <= 0 or not cut.edges:
-                continue
-            cost = cut.cost.units
             pool.append(
-                Candidate(gain, cost, edge_idx, w_threshold, cut.edges, cut.side)
+                ScoredCut(
+                    w_threshold - e.weight,
+                    cut.cost.units,
+                    edge_idx,
+                    w_threshold,
+                    cut.edges,
+                    cut.side,
+                )
             )
     return pool
 
 
 def _scan_pool(
-    g: Graph, pool: list[Candidate], alive: set[int], budget: int
-) -> Candidate | None:
+    g: Graph, pool: list[ScoredCut], alive: set[int], budget: int
+) -> ScoredCut | None:
     """Re-score stored cuts against the surviving edges."""
-    best: Candidate | None = None
+    best: ScoredCut | None = None
     for cand in pool:
         if cand.edge not in alive:
             continue  # cut was created using an already removed edge
@@ -173,7 +277,7 @@ def _scan_pool(
         cost = checked_sum(g.edges[i].cost for i in surviving)
         if not (0 < cost <= budget):
             continue
-        scored = Candidate(
+        scored = ScoredCut(
             cand.gain, cost, cand.edge, cand.threshold, frozenset(surviving), cand.side
         )
         if _better(scored, best):
@@ -225,15 +329,14 @@ def budget_approximate(g: Graph, delta: int) -> InterdictionSolution:
         raise ValueError("delta must be positive")
     if not is_connected(g):
         raise DisconnectedGraphError("graph is disconnected")
-    weights = g.distinct_weights()
+    memo = CutMemo(g, g.distinct_weights())
 
     def run(budget: int):
         return _run_greedy(
             g,
             budget,
             delta,
-            weights,
-            lambda alive, b, _spent: _scan_live(g, alive, weights, b),
+            lambda alive, b, _spent: best_ratio_cut(memo, alive, b),
         )
 
     return _finish(g, _doubling(g, delta, run))
@@ -245,15 +348,13 @@ def budget_approximate_fast(g: Graph, delta: int) -> InterdictionSolution:
         raise ValueError("delta must be positive")
     if not is_connected(g):
         raise DisconnectedGraphError("graph is disconnected")
-    weights = g.distinct_weights()
-    pool = collect_candidate_cuts(g, weights)
+    pool = collect_candidate_cuts(g, g.distinct_weights())
 
     def run(budget: int):
         return _run_greedy(
             g,
             budget,
             delta,
-            weights,
             lambda alive, b, _spent: _scan_pool(g, pool, alive, b),
         )
 

@@ -21,6 +21,7 @@ from .quantities import (
     ZERO,
     ExtendedValue,
     GuaranteeError,
+    check_quantity,
     checked_sum,
     finite,
 )
@@ -48,24 +49,25 @@ class CutResult:
 
 
 class _FlowNet:
-    """Dinic max-flow on an undirected multigraph."""
+    """Dinic max-flow on an undirected multigraph.
 
-    def __init__(self, n: int):
+    Each edge is one residual arc pair 2k, 2k+1; both directions start with
+    the edge's full capacity.
+    """
+
+    def __init__(self, n: int, ends: list[tuple[int, int, int]]):
         self.n = n
         self.head: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
         self.cap: list[int] = []
-
-    def add_undirected(self, u: int, v: int, capacity: int) -> None:
-        # one residual arc pair; both directions start with full capacity
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(capacity)
+        for u, v, capacity in ends:
+            self.head[u].append(len(self.to))
+            self.head[v].append(len(self.to) + 1)
+            self.to += (v, u)
+            self.cap += (capacity, capacity)
 
     def max_flow(self, s: int, t: int) -> int:
+        head, to, cap = self.head, self.to, self.cap
         flow = 0
         while True:
             level = [-1] * self.n
@@ -73,35 +75,50 @@ class _FlowNet:
             queue = deque([s])
             while queue:
                 u = queue.popleft()
-                for a in self.head[u]:
-                    v = self.to[a]
-                    if self.cap[a] > 0 and level[v] < 0:
+                for a in head[u]:
+                    v = to[a]
+                    if cap[a] > 0 and level[v] < 0:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] < 0:
                 return flow
+            # blocking flow by an iterative depth-first walk along level
+            # arcs; `path` holds the arcs from s to the walk's vertex
             it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    a = self.head[u][it[u]]
-                    v = self.to[a]
-                    if self.cap[a] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[a]))
-                        if got > 0:
-                            self.cap[a] -= got
-                            self.cap[a ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
+            path: list[int] = []
+            u = s
             while True:
-                pushed = dfs(s, 1 << 200)
-                if pushed == 0:
+                if u == t:
+                    pushed = min(cap[a] for a in path)
+                    for a in path:
+                        cap[a] -= pushed
+                        cap[a ^ 1] += pushed
+                    flow += pushed
+                    # resume at the tail of the first saturated arc
+                    k = next(k for k, a in enumerate(path) if cap[a] == 0)
+                    del path[k:]
+                    u = to[path[-1]] if path else s
+                    continue
+                arcs = head[u]
+                n_arcs = len(arcs)
+                i = it[u]
+                next_level = level[u] + 1
+                while i < n_arcs:
+                    a = arcs[i]
+                    if cap[a] > 0 and level[to[a]] == next_level:
+                        break
+                    i += 1
+                it[u] = i
+                if i < n_arcs:
+                    path.append(a)
+                    u = to[a]
+                elif u == s:
                     break
-                flow += pushed
+                else:
+                    # dead end: retreat and skip the arc that led here
+                    a = path.pop()
+                    u = to[a ^ 1]
+                    it[u] += 1
 
     def residual_reachable(self, s: int) -> set[int]:
         seen = {s}
@@ -124,11 +141,13 @@ def _build_net(
         for i, e in enumerate(g.edges)
         if edge_filter is None or edge_filter(i, e)
     ]
-    big = checked_sum(g.edges[i].cost for i in participating if g.edges[i].cost is not None) + 1
-    net = _FlowNet(g.n_vertices)
-    for i in participating:
-        e = g.edges[i]
-        net.add_undirected(e.u, e.v, big if e.cost is None else e.cost)
+    edges = [g.edges[i] for i in participating]
+    # costs are positive, so the total bounds every partial sum
+    big = check_quantity(sum(e.cost for e in edges if e.cost is not None)) + 1
+    net = _FlowNet(
+        g.n_vertices,
+        [(e.u, e.v, big if e.cost is None else e.cost) for e in edges],
+    )
     return net, participating, big
 
 
@@ -153,11 +172,14 @@ def min_st_cut(
     flow = net.max_flow(s, t)
     side = net.residual_reachable(s)
     result = _cut_of_side(g, participating, side)
-    # strong duality check: flow value must equal the cut cost
+    # strong duality: the flow value must equal the cut cost
     if result.cost.is_finite:
-        assert flow == result.cost.units, "max-flow / min-cut mismatch"
-    else:
-        assert flow >= big, "infinite cut with sub-threshold flow"
+        if flow != result.cost.units:
+            raise GuaranteeError(
+                f"max-flow {flow} differs from its min-cut cost {result.cost.units}"
+            )
+    elif flow < big:
+        raise GuaranteeError(f"infinite min cut with flow {flow} below {big}")
     return result
 
 

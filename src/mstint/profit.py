@@ -1,29 +1,34 @@
 """Profit maximization under a hard budget: greedy cuts vs best single cut."""
 from __future__ import annotations
 
-from .budget import Candidate, _better
-from .cuts import min_st_cut
+from .budget import CutMemo, best_ratio_cut
 from .graph import Graph
 from .mst import DisconnectedGraphError, PartialCutSpec, is_connected, partial_cut, profit
-from .quantities import ExtendedValue, ZERO, finite
+from .quantities import ExtendedValue, ZERO
 from .solution import GreedyRound, GreedyTrace, InterdictionSolution, make_solution
 
 
 def best_single_cut(
-    g: Graph, budget: int
+    g: Graph, budget: int, memo: CutMemo | None = None
 ) -> tuple[PartialCutSpec | None, ExtendedValue]:
     """Highest true-profit (edge, W) cut of cost at most `budget`.
 
-    Returns (None, 0) when no candidate cut is affordable and profitable.
+    Ties keep the first pair in (edge, W) order.  Returns (None, 0) when no
+    candidate cut is affordable and profitable.  `memo` shares the input
+    graph's cuts with a later greedy on the same graph.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("graph is disconnected")
-    weights = g.distinct_weights()
+    if memo is None:
+        memo = CutMemo(g, g.distinct_weights())
+    cuts_at = {w_threshold: memo.cuts_at(w_threshold, None) for w_threshold in memo.weights}
     best_cut: PartialCutSpec | None = None
     best_profit = ZERO
     for e in g.edges:
-        for w_threshold in weights:
-            cut = min_st_cut(g, e.u, e.v, lambda i, ed: ed.weight < w_threshold)
+        for w_threshold in memo.weights:
+            if w_threshold > e.weight and (e.cost is None or e.cost > budget):
+                continue  # e crosses every u-v cut at this threshold
+            cut = cuts_at[w_threshold](e.u, e.v)
             if not cut.cost.is_finite or cut.cost.units > budget:
                 continue
             if not cut.edges:
@@ -32,41 +37,21 @@ def best_single_cut(
             if value > best_profit:
                 best_profit = value
                 best_cut = partial_cut(g, cut.side, w_threshold)
+                if not value.is_finite:
+                    return best_cut, best_profit  # nothing beats infinity
     return best_cut, best_profit
 
 
 def _greedy_within_budget(
-    g: Graph, budget: int, weights: list[int]
+    g: Graph, budget: int, memo: CutMemo
 ) -> tuple[frozenset[int], GreedyTrace]:
     alive = set(range(g.n_edges))
     removed: set[int] = set()
     spent = 0
     rounds: list[GreedyRound] = []
     while True:
-        best: Candidate | None = None
-        for edge_idx in sorted(alive):
-            e = g.edges[edge_idx]
-            for w_threshold in weights:
-                gain = w_threshold - e.weight
-                if gain <= 0:
-                    continue
-                cut = min_st_cut(
-                    g,
-                    e.u,
-                    e.v,
-                    lambda i, ed: i in alive and ed.weight < w_threshold,
-                )
-                if not cut.cost.is_finite:
-                    continue
-                cost = cut.cost.units
-                # hard budget: the cut must fit in the remaining allowance
-                if cost == 0 or spent + cost > budget:
-                    continue
-                cand = Candidate(
-                    gain, cost, edge_idx, w_threshold, cut.edges, cut.side
-                )
-                if _better(cand, best):
-                    best = cand
+        # hard budget: the cut must fit in the remaining allowance
+        best = best_ratio_cut(memo, alive, budget - spent)
         if best is None:
             break
         alive -= best.cut_edges
@@ -87,15 +72,15 @@ def profit_approximate(g: Graph, budget: int) -> InterdictionSolution:
     """Best of the within-budget ratio greedy and the best single cut.
 
     Never spends more than `budget`; approximates the optimal increase
-    within O(log n) when one exists.
+    within O(log n) when one exists.  Both phases share one `CutMemo`.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     if not is_connected(g):
         raise DisconnectedGraphError("graph is disconnected")
-    weights = g.distinct_weights()
-    single_cut, single_profit = best_single_cut(g, budget)
-    greedy_edges, trace = _greedy_within_budget(g, budget, weights)
+    memo = CutMemo(g, g.distinct_weights())
+    single_cut, single_profit = best_single_cut(g, budget, memo)
+    greedy_edges, trace = _greedy_within_budget(g, budget, memo)
     greedy_profit = profit(g, greedy_edges) if greedy_edges else ZERO
     if single_profit >= greedy_profit:
         if single_cut is None:

@@ -27,14 +27,14 @@ def test_greedy_t3_reaches_delta(t3):
 
 def test_greedy_trace_first_round_ratio(t3):
     # best scan candidate is (edge (0,1), W=3): cut {e0}, ratio (3-1)/1 = 2
-    from mstint.budget import _run_greedy, _scan_live
+    from mstint.budget import CutMemo, _run_greedy, best_ratio_cut
 
+    memo = CutMemo(t3, t3.distinct_weights())
     edges, trace = _run_greedy(
         t3,
         SCALE,
         2 * SCALE,
-        t3.distinct_weights(),
-        lambda alive, b, _s: _scan_live(t3, alive, t3.distinct_weights(), b),
+        lambda alive, b, _s: best_ratio_cut(memo, alive, b),
     )
     assert edges == frozenset({0})
     assert trace.outcome == "reached_delta"
@@ -104,21 +104,33 @@ def test_profit_recomputed_independently():
         assert sol.cost == sum(g.edges[i].cost for i in sol.edges)
 
 
+def _cuttable_pairs(g):
+    """Distinct (u, v, W) with W above the weight of a finite-cost edge
+    (u, v): the pairs that can give a finite cut, one min cut each."""
+    return {
+        (e.u, e.v, w)
+        for e in g.edges
+        if e.cost is not None
+        for w in g.distinct_weights()
+        if w > e.weight
+    }
+
+
 def test_collect_candidate_cuts_call_count(t3):
     reset_mincut_calls()
     pool = collect_candidate_cuts(t3, t3.distinct_weights())
-    assert mincut_call_count() == t3.n_edges * len(t3.distinct_weights())
+    assert mincut_call_count() == len(_cuttable_pairs(t3)) == 3
     # every pooled candidate has positive claimed gain and finite cost
     assert all(c.gain > 0 and c.cost > 0 for c in pool)
 
 
 def test_fast_variant_computes_cuts_once():
     g = gen_random(2, 6, 9, 5, 5)
-    d = len(g.distinct_weights())
     reset_mincut_calls()
     budget_approximate_fast(g, SCALE)
-    # d*m pool calls plus one global min cut for the fallback comparison
-    assert mincut_call_count() == d * g.n_edges + 1
+    # one pool cut per cuttable pair (edges 4 and 5 are parallel, same
+    # weight, and share theirs) plus one global min cut for the fallback
+    assert mincut_call_count() == len(_cuttable_pairs(g)) + 1 == 14
 
 
 def test_reduce_budget_range_t3(t3):

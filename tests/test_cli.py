@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import mstint
-from mstint import eps
+from mstint import cuts, eps
 from mstint.cli import main
 from mstint.cuts import CutResult
 
@@ -25,6 +25,18 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _run_optimized(*args: str) -> subprocess.CompletedProcess:
+    """Run python -O with the package under test on the path."""
+    src = os.path.dirname(os.path.dirname(mstint.__file__))
+    return subprocess.run(
+        [sys.executable, "-O", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=300,
+    )
 
 
 def test_mst(capsys, t3_file):
@@ -51,14 +63,7 @@ def test_eps_increase_large_unit_cycle(capsys, tmp_path):
     code, out, _ = run(capsys, ["eps-increase", str(path), "--json"])
     assert code == 0
     assert json.loads(out)["cost"] == "2"
-    src = os.path.dirname(os.path.dirname(mstint.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "mstint.cli", "eps-increase", str(path), "--json"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=300,
-    )
+    proc = _run_optimized("-m", "mstint.cli", "eps-increase", str(path), "--json")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["cost"] == "2"
 
@@ -75,6 +80,47 @@ def test_guarantee_error_exits_1(capsys, monkeypatch, t3_file):
     code, _, err = run(capsys, ["eps-increase", t3_file])
     assert code == 1
     assert err.startswith("guarantee violated:")
+
+
+def test_budget_large_cycle(capsys, tmp_path):
+    # a 1200-vertex cycle: the flow's augmenting paths run around it, which
+    # a recursive depth-first search could not follow
+    n = 1200
+    path = tmp_path / "cycle.txt"
+    path.write_text(
+        f"{n} {n}\n"
+        + "".join(f"{i} {(i + 1) % n} {2 if i == n - 1 else 1} 1\n" for i in range(n))
+    )
+    argv = ["budget", str(path), "--delta", "1", "--json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["cost"] == "1"
+    proc = _run_optimized("-m", "mstint.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["cost"] == "1"
+
+
+def test_min_cut_duality_mismatch_exits_1(capsys, monkeypatch, t3_file):
+    # a max-flow one unit short of its residual cut breaks strong duality
+    real = cuts._FlowNet.max_flow
+    monkeypatch.setattr(
+        cuts._FlowNet, "max_flow", lambda net, s, t: real(net, s, t) - 1
+    )
+    code, _, err = run(capsys, ["budget", t3_file, "--delta", "2"])
+    assert code == 1
+    assert err.startswith("guarantee violated: max-flow")
+    # the check is explicit code, so python -O keeps it
+    proc = _run_optimized(
+        "-c",
+        "import sys\n"
+        "from mstint import cuts\n"
+        "from mstint.cli import main\n"
+        "real = cuts._FlowNet.max_flow\n"
+        "cuts._FlowNet.max_flow = lambda net, s, t: real(net, s, t) - 1\n"
+        f"sys.exit(main(['budget', {t3_file!r}, '--delta', '2']))\n",
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("guarantee violated: max-flow")
 
 
 def test_stdin_instance(capsys, monkeypatch):

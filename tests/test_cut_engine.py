@@ -1,0 +1,183 @@
+"""The memoized, bound-pruned cut engine against a plain per-pair scan.
+
+The reference here cuts every (edge, threshold) pair afresh on every round,
+with no memo and no pruning, and plugs into the same greedy loops.  Budget,
+the fast variant's pool and profit must give identical solutions, cuts and
+greedy traces.
+"""
+from __future__ import annotations
+
+import random
+
+from mstint.budget import (
+    CutMemo,
+    ScoredCut,
+    _better,
+    _doubling,
+    _finish,
+    _run_greedy,
+    best_ratio_cut,
+    budget_approximate,
+    collect_candidate_cuts,
+)
+from mstint.cuts import global_min_cut, min_st_cut
+from mstint.generators import gen_random
+from mstint.graph import Edge, Graph
+from mstint.mst import partial_cut, profit
+from mstint.profit import best_single_cut, profit_approximate
+from mstint.quantities import ZERO
+from mstint.solution import GreedyRound, GreedyTrace, make_solution
+
+MAX_WEIGHTS = (0, 1, 3, 20, 1000)
+
+
+def reference_scan(g: Graph, alive: set[int], weights: list[int], room: int):
+    best = None
+    for edge_idx in sorted(alive):
+        e = g.edges[edge_idx]
+        for w in weights:
+            gain = w - e.weight
+            if gain <= 0:
+                continue
+            cut = min_st_cut(
+                g, e.u, e.v, lambda i, ed: i in alive and ed.weight < w
+            )
+            if not cut.cost.is_finite or not 0 < cut.cost.units <= room:
+                continue
+            cand = ScoredCut(gain, cut.cost.units, edge_idx, w, cut.edges, cut.side)
+            if _better(cand, best):
+                best = cand
+    return best
+
+
+def reference_budget(g: Graph, delta: int):
+    weights = g.distinct_weights()
+
+    def run(budget: int):
+        return _run_greedy(
+            g,
+            budget,
+            delta,
+            lambda alive, b, _spent: reference_scan(g, alive, weights, b),
+        )
+
+    return _finish(g, _doubling(g, delta, run))
+
+
+def reference_pool(g: Graph) -> list[ScoredCut]:
+    pool = []
+    for edge_idx, e in enumerate(g.edges):
+        for w in g.distinct_weights():
+            cut = min_st_cut(g, e.u, e.v, lambda i, ed: ed.weight < w)
+            if cut.cost.is_finite and w > e.weight and cut.edges:
+                pool.append(
+                    ScoredCut(
+                        w - e.weight, cut.cost.units, edge_idx, w, cut.edges, cut.side
+                    )
+                )
+    return pool
+
+
+def reference_single_cut(g: Graph, budget: int):
+    best_cut, best_profit = None, ZERO
+    for e in g.edges:
+        for w in g.distinct_weights():
+            cut = min_st_cut(g, e.u, e.v, lambda i, ed: ed.weight < w)
+            if not cut.cost.is_finite or cut.cost.units > budget or not cut.edges:
+                continue
+            value = profit(g, cut.edges)
+            if value > best_profit:
+                best_profit, best_cut = value, partial_cut(g, cut.side, w)
+    return best_cut, best_profit
+
+
+def reference_profit(g: Graph, budget: int):
+    weights = g.distinct_weights()
+    single_cut, single_profit = reference_single_cut(g, budget)
+    alive = set(range(g.n_edges))
+    removed: set[int] = set()
+    spent = 0
+    rounds = []
+    while (best := reference_scan(g, alive, weights, budget - spent)) is not None:
+        alive -= best.cut_edges
+        removed |= best.cut_edges
+        spent += best.cost
+        rounds.append(
+            GreedyRound(
+                partial_cut(g, best.side, best.threshold),
+                best.ratio,
+                spent,
+                profit(g, removed),
+            )
+        )
+    trace = GreedyTrace(tuple(rounds), budget, "no_progress")
+    greedy_profit = profit(g, removed) if removed else ZERO
+    if single_profit >= greedy_profit:
+        if single_cut is None:
+            return make_solution(g, frozenset(), trace=trace)
+        return make_solution(g, single_cut.edges, cuts=(single_cut,), trace=trace)
+    return make_solution(g, removed, cuts=tuple(r.cut for r in trace.rounds), trace=trace)
+
+
+def instance(seed: int) -> Graph:
+    rng = random.Random(seed)
+    n = rng.randint(4, 30)
+    m = rng.randint(n - 1, n + 6)
+    g = gen_random(seed, n, m, MAX_WEIGHTS[seed % 5], 6)
+    if seed % 4 == 3:
+        g = Graph(
+            n,
+            tuple(
+                Edge(e.u, e.v, e.weight, None if rng.random() < 0.2 else e.cost)
+                for e in g.edges
+            ),
+        )
+    return g
+
+
+def outcome(solver, g: Graph, target: int):
+    try:
+        sol = solver(g, target)
+    except ValueError as exc:  # infeasible: compare the error
+        return type(exc), str(exc)
+    return sol, sol.trace
+
+
+def test_engine_matches_reference_scan():
+    for seed in range(200):
+        g = instance(seed)
+        rng = random.Random(seed)
+        top = max(e.weight for e in g.edges)
+        delta = max(1, top * (1, 2, 4)[seed % 3] // 2)
+        assert outcome(budget_approximate, g, delta) == outcome(
+            reference_budget, g, delta
+        ), seed
+        assert collect_candidate_cuts(g, g.distinct_weights()) == reference_pool(g), seed
+        cut = global_min_cut(g).cost
+        whole = sum(e.cost for e in g.edges if e.cost is not None)
+        base = cut.units if cut.is_finite else whole
+        budget = max(1, base * rng.randint(1, 8) // 4)
+        assert best_single_cut(g, budget) == reference_single_cut(g, budget), seed
+        assert outcome(profit_approximate, g, budget) == outcome(
+            reference_profit, g, budget
+        ), seed
+
+
+def test_equal_bound_pair_can_still_win():
+    # (e0, 4) has bound 4/1 but its cut takes the parallel e1 too: ratio 2 at
+    # cost 2.  (e2, 4) has bound 2/1, equal to that ratio, and wins the tie
+    # at cost 1, so a scan may stop only below the best ratio, not at it.
+    g = Graph(
+        3,
+        (
+            Edge(0, 1, 0, 1),
+            Edge(0, 1, 0, 1),
+            Edge(1, 2, 2, 1),
+            Edge(0, 2, 4, None),
+        ),
+    )
+    weights = g.distinct_weights()
+    alive = set(range(g.n_edges))
+    best = best_ratio_cut(CutMemo(g, weights), alive, 10)
+    assert (best.edge, best.threshold, best.cost) == (2, 4, 1)
+    assert best == reference_scan(g, alive, weights, 10)
