@@ -1,12 +1,7 @@
 """MST interdiction toolkit: exact minimum-cost increase, greedy
 budget/profit approximations with certified guarantees, and protection.
 """
-from .budget import (
-    InfeasibleError,
-    budget_approximate,
-    budget_approximate_fast,
-    reduce_budget_range,
-)
+from .budget import InfeasibleError, budget_approximate, reduce_budget_range
 from .cuts import CutResult, enumerate_min_st_cuts, global_min_cut, min_st_cut
 from .eps import NoFiniteCutError, eps_increase
 from .generators import gen_bad_example, gen_random
@@ -71,7 +66,6 @@ __all__ = [
     "UncoverableCutError",
     "best_single_cut",
     "budget_approximate",
-    "budget_approximate_fast",
     "build_cut_sequence",
     "certify",
     "enumerate_min_st_cuts",

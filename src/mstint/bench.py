@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cuts as cuts_mod
-from .budget import budget_approximate, budget_approximate_fast
+from .budget import budget_approximate
 from .eps import eps_increase
 from .generators import gen_bad_example, gen_random
 from .graph import Graph
@@ -105,24 +104,20 @@ def _budget_rows(suite: dict) -> list[BenchRow]:
         )
         opt = oracle_budget(g, delta)
         bound = _budget_bound(g.n_vertices, opt.cost)
-        for label, solver in (
-            ("budget", budget_approximate),
-            ("budget_fast", budget_approximate_fast),
-        ):
-            sol, calls, elapsed = _timed(lambda: solver(g, delta))
-            ok = sol.profit >= finite(delta) and Fraction(sol.cost) <= bound
-            rows.append(
-                BenchRow(
-                    f"budget-seed{seed}",
-                    label,
-                    format_quantity(sol.cost),
-                    str(sol.profit),
-                    f"{float(bound) / SCALE:.6f}",
-                    ok,
-                    calls,
-                    elapsed,
-                )
+        sol, calls, elapsed = _timed(lambda: budget_approximate(g, delta))
+        ok = sol.profit >= finite(delta) and Fraction(sol.cost) <= bound
+        rows.append(
+            BenchRow(
+                f"budget-seed{seed}",
+                "budget",
+                format_quantity(sol.cost),
+                str(sol.profit),
+                f"{float(bound) / SCALE:.6f}",
+                ok,
+                calls,
+                elapsed,
             )
+        )
     return rows
 
 
@@ -196,7 +191,7 @@ _SUITE_RUNNERS = {
 }
 
 
-def run_bench(config: dict, jobs: int = 1) -> tuple[list[BenchRow], bool]:
+def run_bench(config: dict) -> tuple[list[BenchRow], bool]:
     """Run every configured suite; rows come back sorted by instance id."""
     suites = config.get("suites", [])
     tasks = []
@@ -206,21 +201,8 @@ def run_bench(config: dict, jobs: int = 1) -> tuple[list[BenchRow], bool]:
             raise ValueError(f"unknown suite kind: {kind!r}")
         tasks.append((kind, suite))
     rows: list[BenchRow] = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(lambda t: _SUITE_RUNNERS[t[0]](t[1]), tasks):
-                rows.extend(chunk)
-        # concurrent runs share the global cut counter; per-row counts are
-        # not meaningful, so blank them out
-        rows = [
-            BenchRow(
-                r.instance, r.algorithm, r.cost, r.profit, r.bound, r.bound_ok, -1, r.wall_time
-            )
-            for r in rows
-        ]
-    else:
-        for kind, suite in tasks:
-            rows.extend(_SUITE_RUNNERS[kind](suite))
+    for kind, suite in tasks:
+        rows.extend(_SUITE_RUNNERS[kind](suite))
     rows.sort(key=lambda r: (r.instance, r.algorithm))
     return rows, all(r.bound_ok for r in rows)
 

@@ -19,8 +19,8 @@ max-flows without changing any answer:
   the bound can still beat the best cut found so far; the order of `_better`
   is total, so the best cut is the same as that of a scan over every pair.
 
-The fast variant computes the pairs' cuts once on the input graph and
-re-scores the stored cuts against the surviving edges.
+`budget_approximate` is the paper's algorithm: a ratio greedy at each budget
+guess of a doubling search, with the global min cut as the fallback.
 """
 from __future__ import annotations
 
@@ -181,16 +181,20 @@ def _relaxed_budget_cap(n: int, budget: int) -> Fraction:
 def _run_greedy(
     g: Graph, budget: int, delta: int, scan
 ) -> tuple[frozenset[int], GreedyTrace]:
+    """One ratio-greedy run at a fixed budget guess; `scan(alive, budget)`
+    gives each round's cut.  The removal set comes back empty unless the
+    run reaches `delta`."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     alive = set(range(g.n_edges))
     removed: set[int] = set()
     spent = 0
+    current = finite(0)
     rounds: list[GreedyRound] = []
     cap = _relaxed_budget_cap(g.n_vertices, budget)
     outcome = "no_progress"
     while True:
-        best = scan(alive, budget, spent)
+        best = scan(alive, budget)
         if best is not None:
             alive -= best.cut_edges
             removed |= best.cut_edges
@@ -204,7 +208,6 @@ def _run_greedy(
                     current,
                 )
             )
-        current = profit(g, removed) if removed else finite(0)
         if current >= finite(delta):
             outcome = "reached_delta"
             break
@@ -217,72 +220,6 @@ def _run_greedy(
     trace = GreedyTrace(tuple(rounds), budget, outcome)
     result = frozenset(removed) if outcome == "reached_delta" else frozenset()
     return result, trace
-
-
-def greedy(g: Graph, budget: int, delta: int, weights: list[int]) -> frozenset[int]:
-    """One run of the ratio-greedy at a fixed budget guess.
-
-    Returns the removal set if it reaches the target profit, else the empty
-    set (the in-band failure signal).
-    """
-    memo = CutMemo(g, weights)
-    edges, _ = _run_greedy(
-        g, budget, delta, lambda alive, b, _spent: best_ratio_cut(memo, alive, b)
-    )
-    return edges
-
-
-def collect_candidate_cuts(g: Graph, weights: list[int]) -> list[ScoredCut]:
-    """All finite (edge, W) cuts on the input graph: the fast variant's pool.
-
-    Only pairs with W > w(e) and finite c(e) can give one, and pairs with
-    the same (u, v, W) share one min-cut computation.
-    """
-    memo = CutMemo(g, weights)
-    cuts_at = {w_threshold: memo.cuts_at(w_threshold, None) for w_threshold in weights}
-    pool = []
-    for edge_idx, e in enumerate(g.edges):
-        if e.cost is None:
-            continue
-        for w_threshold in weights:
-            if w_threshold <= e.weight:
-                continue
-            cut = cuts_at[w_threshold](e.u, e.v)
-            if not cut.cost.is_finite:
-                continue
-            pool.append(
-                ScoredCut(
-                    w_threshold - e.weight,
-                    cut.cost.units,
-                    edge_idx,
-                    w_threshold,
-                    cut.edges,
-                    cut.side,
-                )
-            )
-    return pool
-
-
-def _scan_pool(
-    g: Graph, pool: list[ScoredCut], alive: set[int], budget: int
-) -> ScoredCut | None:
-    """Re-score stored cuts against the surviving edges."""
-    best: ScoredCut | None = None
-    for cand in pool:
-        if cand.edge not in alive:
-            continue  # cut was created using an already removed edge
-        surviving = cand.cut_edges & alive
-        if not surviving:
-            continue
-        cost = checked_sum(g.edges[i].cost for i in surviving)
-        if not (0 < cost <= budget):
-            continue
-        scored = ScoredCut(
-            cand.gain, cost, cand.edge, cand.threshold, frozenset(surviving), cand.side
-        )
-        if _better(scored, best):
-            best = scored
-    return best
 
 
 def _global_cut_candidate(g: Graph) -> tuple[int, frozenset[int]] | None:
@@ -333,29 +270,7 @@ def budget_approximate(g: Graph, delta: int) -> InterdictionSolution:
 
     def run(budget: int):
         return _run_greedy(
-            g,
-            budget,
-            delta,
-            lambda alive, b, _spent: best_ratio_cut(memo, alive, b),
-        )
-
-    return _finish(g, _doubling(g, delta, run))
-
-
-def budget_approximate_fast(g: Graph, delta: int) -> InterdictionSolution:
-    """Same contract as budget_approximate; cuts are computed once on g."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if not is_connected(g):
-        raise DisconnectedGraphError("graph is disconnected")
-    pool = collect_candidate_cuts(g, g.distinct_weights())
-
-    def run(budget: int):
-        return _run_greedy(
-            g,
-            budget,
-            delta,
-            lambda alive, b, _spent: _scan_pool(g, pool, alive, b),
+            g, budget, delta, lambda alive, b: best_ratio_cut(memo, alive, b)
         )
 
     return _finish(g, _doubling(g, delta, run))

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .budget import InfeasibleError, budget_approximate, budget_approximate_fast
+from .budget import InfeasibleError, budget_approximate
 from .bench import render_tsv, run_bench
 from .eps import NoFiniteCutError, eps_increase
 from .generators import gen_bad_example, gen_random
@@ -116,8 +116,7 @@ def _cmd_eps(args) -> int:
 def _cmd_budget(args) -> int:
     g, _ = _read_instance(args.instance)
     delta = _parse_amount(args.delta, "delta")
-    solver = budget_approximate_fast if args.fast else budget_approximate
-    _emit_solution(solver(g, delta), args.json)
+    _emit_solution(budget_approximate(g, delta), args.json)
     return EXIT_OK
 
 
@@ -226,7 +225,7 @@ def _cmd_bench(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"bad config: {exc}") from exc
     try:
-        rows, ok = run_bench(config, jobs=args.jobs)
+        rows, ok = run_bench(config)
     except (ValueError, KeyError) as exc:
         raise InputError(f"bad config: {exc}") from exc
     sys.stdout.write(render_tsv(rows))
@@ -250,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     instance_cmd("eps-increase", _cmd_eps, "exact minimum-cost strict MST increase")
     p = instance_cmd("budget", _cmd_budget, "approximate min-cost increase by delta")
     p.add_argument("--delta", required=True, help="required MST weight increase")
-    p.add_argument("--fast", action="store_true", help="reuse cuts computed on G")
+    p.add_argument("--fast", action="store_true", help="deprecated; ignored")
     p = instance_cmd("profit", _cmd_profit, "approximate max increase within budget")
     p.add_argument("--budget", required=True, help="hard removal budget")
     instance_cmd("protect", _cmd_protect, "greedy cover of the optimal cuts")
@@ -280,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the benchmark/certification suites")
     p.add_argument("--config", required=True, help="JSON suite configuration")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_bench)
     return parser
 

@@ -366,8 +366,8 @@ def enumerate_min_st_cuts(
         for c in chosen:
             side.update(members[c])
         cuts.append(_cut_of_side(g, participating, side))
-    costs = {c.cost for c in cuts}
-    assert len(costs) == 1, "enumerated cuts must share the minimum cost"
+    if len({c.cost for c in cuts}) != 1:
+        raise GuaranteeError("enumerated cuts must share the minimum cost")
     cuts.sort(key=lambda c: sorted(c.side))
     return cuts, truncated
 

@@ -83,10 +83,6 @@ class Graph:
         return Graph(self.n_vertices, self.edges + tuple(extra))
 
 
-def make_graph(n_vertices: int, edges: Iterable[tuple[int, int, int, int | None]]) -> Graph:
-    return Graph(n_vertices, tuple(Edge(u, v, w, c) for u, v, w, c in edges))
-
-
 def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -100,44 +100,3 @@ def partial_cut(g: Graph, side: Iterable[int], threshold: int | None) -> Partial
         if ((e.u in s) != (e.v in s)) and (threshold is None or e.weight < threshold)
     )
     return PartialCutSpec(s, threshold, edges)
-
-
-def tree_cut(g: Graph, forest: SpanningForest, tree_edge: int) -> frozenset[int]:
-    """Vertex side of the unique cut crossing exactly one tree edge.
-
-    Returns the component of T minus the edge that contains the edge's
-    lower-indexed endpoint.
-    """
-    if tree_edge not in forest.edges:
-        raise ValueError("edge is not part of the spanning forest")
-    adj: dict[int, list[int]] = {v: [] for v in range(g.n_vertices)}
-    for i in forest.edges:
-        if i == tree_edge:
-            continue
-        e = g.edges[i]
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
-    start = min(g.edges[tree_edge].u, g.edges[tree_edge].v)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return frozenset(seen)
-
-
-def cut_profit_lower_bound(g: Graph, cut: PartialCutSpec, edge: int) -> ExtendedValue:
-    """Guaranteed profit of removing the partial cut: max(0, W - w(e)).
-
-    `edge` must cross the complete cut over the same side (any weight).  A
-    complete cut (threshold None) disconnects, so its bound is infinite.
-    """
-    e = g.edges[edge]
-    if (e.u in cut.side) == (e.v in cut.side):
-        raise ValueError("edge does not cross the cut")
-    if cut.threshold is None:
-        return INFINITY
-    return finite(max(0, cut.threshold - e.weight))

@@ -9,6 +9,7 @@ from .cuts import enumerate_min_st_cuts, global_min_cut, min_st_cut
 from .eps import NoFiniteCutError, class_components
 from .graph import Candidate, Edge, Graph
 from .mst import DisconnectedGraphError, PartialCutSpec, is_connected, mst
+from .quantities import GuaranteeError
 
 
 class UncoverableCutError(ValueError):
@@ -130,7 +131,8 @@ def protect(inst: ProtectionInstance) -> tuple[frozenset[int], OptimalCutListing
                 inst.candidates[best_idx].build_cost * len(new)
             ):
                 best_idx, best_new = idx, new
-        assert best_idx is not None  # coverability was checked up front
+        if best_idx is None:  # coverability was checked up front
+            raise GuaranteeError("no candidate covers an uncovered cut")
         chosen.add(best_idx)
         uncovered -= best_new
     return frozenset(chosen), listing

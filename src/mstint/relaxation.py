@@ -19,7 +19,7 @@ from .mst import (
     partial_cut,
     profit,
 )
-from .quantities import ExtendedValue, ZERO, checked_sum, log2_bounds
+from .quantities import ExtendedValue, GuaranteeError, ZERO, checked_sum, log2_bounds
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,6 @@ def _cc_mst_edges(g: Graph, cc: CcGraph) -> list[int]:
         e = g.edges[i]
         if uf.union(cc.component_of[e.u], cc.component_of[e.v]):
             chosen.append(i)
-    assert len(chosen) == cc.t - 1, "components graph must be connected"
     return chosen
 
 
@@ -114,9 +113,16 @@ def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertifica
     t = cc.t
     tree = mst(g)
     tree_removed = sorted(tree.edges & removed)
-    assert len(tree_removed) == t - 1
+    if len(tree_removed) != t - 1:
+        raise GuaranteeError(
+            f"T minus F has {t} components but F holds {len(tree_removed)} tree edges"
+        )
 
     prime_edges = _cc_mst_edges(g, cc)
+    if len(prime_edges) != t - 1:
+        raise GuaranteeError(
+            f"the components graph's MST has {len(prime_edges)} edges, not {t - 1}"
+        )
 
     # forest connectivity using only prime edges with order index < i
     counts = [0] * t
@@ -154,7 +160,7 @@ def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertifica
         )
     matched = _matching(adjacent, len(tree_removed))
     if matched is None:
-        raise AssertionError("perfect cut/edge matching must exist")
+        raise GuaranteeError("no perfect matching of cuts to removed tree edges")
     matching = tuple(tree_removed[j] for j in matched)
 
     cost_sum = checked_sum(

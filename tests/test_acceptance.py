@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from conftest import brute_min_st_cut_cost, connected_random_subset
-from mstint.budget import budget_approximate, budget_approximate_fast
+from mstint.budget import budget_approximate
 from mstint.cuts import min_st_cut
 from mstint.eps import eps_increase
 from mstint.generators import gen_bad_example, gen_random
@@ -93,10 +93,9 @@ def test_acceptance_2_budget_guarantee():
         opt = oracle_budget(g, delta)
         lo, _ = log2_bounds(n)
         bound = (2 + 4 * lo) * opt.cost
-        for solver in (budget_approximate, budget_approximate_fast):
-            sol = solver(g, delta)
-            if not (sol.profit >= finite(delta) and Fraction(sol.cost) <= bound):
-                violations.append((seed, solver.__name__, sol.cost, opt.cost))
+        sol = budget_approximate(g, delta)
+        if not (sol.profit >= finite(delta) and Fraction(sol.cost) <= bound):
+            violations.append((seed, sol.cost, opt.cost))
     elapsed = time.monotonic() - start
     report(2, "budget O(log n) guarantee", violations, f"(200 instances, {elapsed:.1f}s)")
     assert elapsed < 300

@@ -15,7 +15,7 @@ CONFIG = {
 def test_all_suites_pass():
     rows, ok = run_bench(CONFIG)
     assert ok
-    assert len(rows) == 2 + 2 + 2 + 1
+    assert len(rows) == 2 + 1 + 2 + 1
     assert [r.instance for r in rows] == sorted(r.instance for r in rows)
 
 
@@ -24,12 +24,6 @@ def test_reproducible():
     rows_b, _ = run_bench(CONFIG)
     strip = lambda r: (r.instance, r.algorithm, r.cost, r.profit, r.bound, r.bound_ok)
     assert [strip(r) for r in rows_a] == [strip(r) for r in rows_b]
-
-
-def test_jobs_blank_out_shared_counter():
-    rows, ok = run_bench(CONFIG, jobs=2)
-    assert ok
-    assert all(r.mincut_calls == -1 for r in rows)
 
 
 def test_unknown_suite_rejected():

@@ -3,14 +3,13 @@ from fractions import Fraction
 import pytest
 
 from mstint.budget import (
+    CutMemo,
     InfeasibleError,
+    _run_greedy,
+    best_ratio_cut,
     budget_approximate,
-    budget_approximate_fast,
-    collect_candidate_cuts,
-    greedy,
     reduce_budget_range,
 )
-from mstint.cuts import mincut_call_count, reset_mincut_calls
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
 from mstint.mst import profit
@@ -20,22 +19,14 @@ from mstint.quantities import INFINITY, finite, log2_bounds
 SCALE = 1_000_000
 
 
-def test_greedy_t3_reaches_delta(t3):
-    result = greedy(t3, SCALE, 2 * SCALE, t3.distinct_weights())
-    assert result == frozenset({0})
+def _greedy_at(g, budget, delta):
+    memo = CutMemo(g, g.distinct_weights())
+    return _run_greedy(g, budget, delta, lambda alive, b: best_ratio_cut(memo, alive, b))
 
 
 def test_greedy_trace_first_round_ratio(t3):
     # best scan candidate is (edge (0,1), W=3): cut {e0}, ratio (3-1)/1 = 2
-    from mstint.budget import CutMemo, _run_greedy, best_ratio_cut
-
-    memo = CutMemo(t3, t3.distinct_weights())
-    edges, trace = _run_greedy(
-        t3,
-        SCALE,
-        2 * SCALE,
-        lambda alive, b, _s: best_ratio_cut(memo, alive, b),
-    )
+    edges, trace = _greedy_at(t3, SCALE, 2 * SCALE)
     assert edges == frozenset({0})
     assert trace.outcome == "reached_delta"
     assert trace.rounds[0].claimed_ratio == Fraction(2)
@@ -44,8 +35,10 @@ def test_greedy_trace_first_round_ratio(t3):
 
 def test_greedy_empty_is_in_band_failure(t3):
     # budget guess too small for any cut
-    result = greedy(t3, SCALE // 2, 2 * SCALE, t3.distinct_weights())
-    assert result == frozenset()
+    edges, trace = _greedy_at(t3, SCALE // 2, 2 * SCALE)
+    assert edges == frozenset()
+    assert trace.rounds == ()
+    assert trace.outcome == "no_progress"
 
 
 def test_budget_approximate_t3(t3):
@@ -63,18 +56,9 @@ def test_budget_approximate_p2_fallback(p2):
     assert sol.profit == INFINITY
 
 
-def test_fast_matches_contract_on_t3(t3):
-    slow = budget_approximate(t3, 2 * SCALE)
-    fast = budget_approximate_fast(t3, 2 * SCALE)
-    assert fast.edges == slow.edges
-    assert fast.profit >= finite(2 * SCALE)
-
-
 def test_rejects_nonpositive_delta(t3):
     with pytest.raises(ValueError):
         budget_approximate(t3, 0)
-    with pytest.raises(ValueError):
-        budget_approximate_fast(t3, -SCALE)
 
 
 def test_infeasible_when_everything_uncuttable():
@@ -90,10 +74,9 @@ def test_guarantee_on_random_instances():
         opt = oracle_budget(g, SCALE)
         lo, _ = log2_bounds(n)
         bound = (2 + 4 * lo) * opt.cost
-        for solver in (budget_approximate, budget_approximate_fast):
-            sol = solver(g, SCALE)
-            assert sol.profit >= finite(SCALE)
-            assert Fraction(sol.cost) <= bound, (seed, solver.__name__)
+        sol = budget_approximate(g, SCALE)
+        assert sol.profit >= finite(SCALE)
+        assert Fraction(sol.cost) <= bound, seed
 
 
 def test_profit_recomputed_independently():
@@ -102,35 +85,6 @@ def test_profit_recomputed_independently():
         sol = budget_approximate(g, SCALE)
         assert sol.profit == profit(g, sol.edges)
         assert sol.cost == sum(g.edges[i].cost for i in sol.edges)
-
-
-def _cuttable_pairs(g):
-    """Distinct (u, v, W) with W above the weight of a finite-cost edge
-    (u, v): the pairs that can give a finite cut, one min cut each."""
-    return {
-        (e.u, e.v, w)
-        for e in g.edges
-        if e.cost is not None
-        for w in g.distinct_weights()
-        if w > e.weight
-    }
-
-
-def test_collect_candidate_cuts_call_count(t3):
-    reset_mincut_calls()
-    pool = collect_candidate_cuts(t3, t3.distinct_weights())
-    assert mincut_call_count() == len(_cuttable_pairs(t3)) == 3
-    # every pooled candidate has positive claimed gain and finite cost
-    assert all(c.gain > 0 and c.cost > 0 for c in pool)
-
-
-def test_fast_variant_computes_cuts_once():
-    g = gen_random(2, 6, 9, 5, 5)
-    reset_mincut_calls()
-    budget_approximate_fast(g, SCALE)
-    # one pool cut per cuttable pair (edges 4 and 5 are parallel, same
-    # weight, and share theirs) plus one global min cut for the fallback
-    assert mincut_call_count() == len(_cuttable_pairs(g)) + 1 == 14
 
 
 def test_reduce_budget_range_t3(t3):
@@ -168,4 +122,3 @@ def test_solution_cuts_cover_solution_edges():
 def test_deterministic(t3):
     g = gen_random(17, 7, 12, 5, 5)
     assert budget_approximate(g, SCALE) == budget_approximate(g, SCALE)
-    assert budget_approximate_fast(g, SCALE) == budget_approximate_fast(g, SCALE)

@@ -6,9 +6,11 @@ import sys
 import pytest
 
 import mstint
-from mstint import cuts, eps
+from mstint import cuts, eps, relaxation
 from mstint.cli import main
 from mstint.cuts import CutResult
+from mstint.generators import gen_random
+from mstint.graph import serialize_instance
 
 T3 = "3 3\n0 1 1 1\n1 2 2 1\n0 2 3 1\n"
 P2 = "2 1\n0 1 5 3\n"
@@ -123,6 +125,27 @@ def test_min_cut_duality_mismatch_exits_1(capsys, monkeypatch, t3_file):
     assert proc.stderr.startswith("guarantee violated: max-flow")
 
 
+def test_certify_broken_certificate_exits_1(capsys, monkeypatch, t3_file):
+    # a components-graph MST one edge short cannot give t - 1 cuts; the
+    # check is explicit code, so python -O keeps it
+    real = relaxation._cc_mst_edges
+    monkeypatch.setattr(relaxation, "_cc_mst_edges", lambda g, cc: real(g, cc)[:-1])
+    code, _, err = run(capsys, ["certify", t3_file, "--edges", "0"])
+    assert code == 1
+    assert err.startswith("guarantee violated:")
+    proc = _run_optimized(
+        "-c",
+        "import sys\n"
+        "from mstint import relaxation\n"
+        "from mstint.cli import main\n"
+        "real = relaxation._cc_mst_edges\n"
+        "relaxation._cc_mst_edges = lambda g, cc: real(g, cc)[:-1]\n"
+        f"sys.exit(main(['certify', {t3_file!r}, '--edges', '0']))\n",
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("guarantee violated:")
+
+
 def test_stdin_instance(capsys, monkeypatch):
     import io
 
@@ -134,13 +157,20 @@ def test_stdin_instance(capsys, monkeypatch):
     assert record["profit"] == "inf"
 
 
-def test_budget_and_fast(capsys, t3_file):
-    for extra in ([], ["--fast"]):
-        code, out, _ = run(capsys, ["budget", t3_file, "--delta", "2", "--json"] + extra)
+def test_budget_and_fast(capsys, t3_file, tmp_path):
+    # --fast is accepted and ignored: one budget algorithm answers both
+    path = tmp_path / "random.txt"
+    path.write_text(serialize_instance(gen_random(7, 14, 42, 10, 10)))
+    records = []
+    for instance, delta in ((t3_file, "2"), (str(path), "10")):
+        argv = ["budget", instance, "--delta", delta, "--json"]
+        code, out, _ = run(capsys, argv)
         assert code == 0
-        record = json.loads(out)
-        assert record["edges"] == [0]
-        assert record["profit"] == "2"
+        assert run(capsys, argv + ["--fast"]) == (0, out, "")
+        records.append(json.loads(out))
+    assert records[0]["edges"] == [0]
+    assert records[0]["profit"] == "2"
+    assert len(records[1]["cuts"]) == 4  # a greedy answer, not the fallback
 
 
 def test_profit(capsys, t3_file):

@@ -1,9 +1,8 @@
 """The memoized, bound-pruned cut engine against a plain per-pair scan.
 
 The reference here cuts every (edge, threshold) pair afresh on every round,
-with no memo and no pruning, and plugs into the same greedy loops.  Budget,
-the fast variant's pool and profit must give identical solutions, cuts and
-greedy traces.
+with no memo and no pruning, and plugs into the same greedy loops.  Budget
+and profit must give identical solutions, cuts and greedy traces.
 """
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ from mstint.budget import (
     _run_greedy,
     best_ratio_cut,
     budget_approximate,
-    collect_candidate_cuts,
 )
 from mstint.cuts import global_min_cut, min_st_cut
 from mstint.generators import gen_random
@@ -58,24 +56,10 @@ def reference_budget(g: Graph, delta: int):
             g,
             budget,
             delta,
-            lambda alive, b, _spent: reference_scan(g, alive, weights, b),
+            lambda alive, b: reference_scan(g, alive, weights, b),
         )
 
     return _finish(g, _doubling(g, delta, run))
-
-
-def reference_pool(g: Graph) -> list[ScoredCut]:
-    pool = []
-    for edge_idx, e in enumerate(g.edges):
-        for w in g.distinct_weights():
-            cut = min_st_cut(g, e.u, e.v, lambda i, ed: ed.weight < w)
-            if cut.cost.is_finite and w > e.weight and cut.edges:
-                pool.append(
-                    ScoredCut(
-                        w - e.weight, cut.cost.units, edge_idx, w, cut.edges, cut.side
-                    )
-                )
-    return pool
 
 
 def reference_single_cut(g: Graph, budget: int):
@@ -152,7 +136,6 @@ def test_engine_matches_reference_scan():
         assert outcome(budget_approximate, g, delta) == outcome(
             reference_budget, g, delta
         ), seed
-        assert collect_candidate_cuts(g, g.distinct_weights()) == reference_pool(g), seed
         cut = global_min_cut(g).cost
         whole = sum(e.cost for e in g.edges if e.cost is not None)
         base = cut.units if cut.is_finite else whole

@@ -8,12 +8,10 @@ from mstint.graph import Edge, Graph
 from mstint.mst import (
     DisconnectedGraphError,
     UnionFind,
-    cut_profit_lower_bound,
     is_connected,
     mst,
     partial_cut,
     profit,
-    tree_cut,
 )
 from mstint.quantities import INFINITY, ZERO, finite
 
@@ -74,44 +72,6 @@ def test_partial_cut_rejects_improper_side(t3):
         partial_cut(t3, {0, 1, 2}, None)
 
 
-def test_tree_cut_t3(t3):
-    forest = mst(t3)
-    assert tree_cut(t3, forest, 0) == frozenset({0})
-    assert tree_cut(t3, forest, 1) == frozenset({0, 1})
-    with pytest.raises(ValueError):
-        tree_cut(t3, forest, 2)
-
-
-def test_tree_cut_path():
-    g = Graph(3, (Edge(0, 1, 1, 1), Edge(1, 2, 1, 1)))
-    assert tree_cut(g, mst(g), 1) == frozenset({0, 1})
-
-
-def test_tree_cut_crosses_only_that_tree_edge():
-    for seed in range(20):
-        g = gen_random(seed, 7, 11, 5, 5)
-        forest = mst(g)
-        for te in forest.edges:
-            side = tree_cut(g, forest, te)
-            crossing = partial_cut(g, side, None).edges
-            assert crossing & forest.edges == {te}
-
-
-def test_cut_profit_lower_bound_t3(t3):
-    c = partial_cut(t3, {0}, 3_000_000)
-    assert cut_profit_lower_bound(t3, c, 2) == ZERO  # W <= w(e2)
-    assert cut_profit_lower_bound(t3, c, 0) == finite(2_000_000)
-    c2 = partial_cut(t3, {0}, 2_000_000)
-    assert cut_profit_lower_bound(t3, c2, 0) == finite(1_000_000)
-    with pytest.raises(ValueError):
-        cut_profit_lower_bound(t3, c, 1)  # e1 does not cross {0}
-
-
-def test_cut_profit_lower_bound_complete_cut(t3):
-    c = partial_cut(t3, {0}, None)
-    assert cut_profit_lower_bound(t3, c, 0) == INFINITY
-
-
 def test_lemma2_property():
     """profit(g, C_G(S,W)) >= W - w(e) for every crossing edge e."""
     for seed in range(30):
@@ -124,7 +84,7 @@ def test_lemma2_property():
             cut = partial_cut(g, side, w_threshold)
             complete = partial_cut(g, side, None)
             for e in complete.edges:
-                bound = cut_profit_lower_bound(g, cut, e)
+                bound = finite(max(0, w_threshold - g.edges[e].weight))
                 assert profit(g, cut.edges) >= bound
 
 
