@@ -13,6 +13,7 @@ stored exactly as integer units of 10**-6.  Edge identity is the list index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .quantities import (
@@ -78,6 +79,17 @@ class Graph:
     def distinct_weights(self) -> list[int]:
         """Sorted distinct finite edge weights."""
         return sorted({e.weight for e in self.edges})
+
+    @cached_property
+    def kruskal_order(self) -> tuple[tuple[int, int, int], ...]:
+        """(index, u, v) of every edge, sorted once by (weight, index).
+
+        The sort is stable over ascending indices, so equal weights keep
+        index order.
+        """
+        edges = self.edges
+        order = sorted(range(len(edges)), key=lambda i: edges[i].weight)
+        return tuple((i, edges[i].u, edges[i].v) for i in order)
 
     def with_edges(self, extra: Iterable[Edge]) -> "Graph":
         return Graph(self.n_vertices, self.edges + tuple(extra))

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable
 
 from .graph import Graph
-from .quantities import INFINITY, ExtendedValue, checked_sum, finite
+from .quantities import INFINITY, ExtendedValue, finite
 
 
 class DisconnectedGraphError(ValueError):
@@ -53,25 +53,31 @@ class UnionFind:
 def mst(g: Graph, exclude: Collection[int] = ()) -> SpanningForest:
     """Deterministic minimum spanning forest of g minus `exclude`.
 
-    Kruskal over edges sorted by (weight, index); ties always resolve to the
+    Kruskal over `g.kruskal_order`, the edges sorted once per graph by
+    (weight, index), skipping excluded indices; ties always resolve to the
     lower edge index, so repeated calls agree edge-for-edge.
     """
     banned = frozenset(exclude)
-    order = sorted(
-        (i for i in range(g.n_edges) if i not in banned),
-        key=lambda i: (g.edges[i].weight, i),
-    )
-    uf = UnionFind(g.n_vertices)
+    need = g.n_vertices - 1
+    parent = list(range(g.n_vertices))
     chosen = []
-    for i in order:
-        e = g.edges[i]
-        if uf.union(e.u, e.v):
+    for i, u, v in g.kruskal_order:
+        if i in banned:
+            continue
+        # path-halving finds of both endpoints' roots
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[v] = u
             chosen.append(i)
-            if len(chosen) == g.n_vertices - 1:
+            if len(chosen) == need:
                 break
-    if len(chosen) < g.n_vertices - 1:
+    if len(chosen) < need:
         return SpanningForest(frozenset(chosen), INFINITY)
-    weight = finite(checked_sum(g.edges[i].weight for i in chosen))
+    # weights are nonnegative, so a total in range bounds every partial sum
+    weight = finite(sum(g.edges[i].weight for i in chosen))
     return SpanningForest(frozenset(chosen), weight)
 
 

@@ -29,6 +29,7 @@ class CcGraph:
     components: tuple[frozenset[int], ...]
     edges: tuple[int, ...]  # original edge indices between distinct components
     component_of: tuple[int, ...]  # vertex -> component index
+    tree_removed: tuple[int, ...]  # edges of T in F, ascending index
 
     @property
     def t(self) -> int:
@@ -58,52 +59,73 @@ def build_cc_graph(g: Graph, removed: frozenset[int]) -> CcGraph:
     for i in tree.edges:
         if i not in removed:
             uf.union(g.edges[i].u, g.edges[i].v)
-    roots = sorted({uf.find(v) for v in range(g.n_vertices)})
-    relabel = {r: c for c, r in enumerate(roots)}
-    component_of = tuple(relabel[uf.find(v)] for v in range(g.n_vertices))
-    components = tuple(
-        frozenset(v for v in range(g.n_vertices) if component_of[v] == c)
-        for c in range(len(roots))
-    )
+    root_of = [uf.find(v) for v in range(g.n_vertices)]
+    relabel = {r: c for c, r in enumerate(sorted(set(root_of)))}
+    component_of = tuple(relabel[r] for r in root_of)
+    members: list[list[int]] = [[] for _ in relabel]
+    for v, c in enumerate(component_of):
+        members[c].append(v)
     cc_edges = tuple(
         i
         for i, e in enumerate(g.edges)
         if i not in removed and component_of[e.u] != component_of[e.v]
     )
-    return CcGraph(components, cc_edges, component_of)
+    return CcGraph(
+        tuple(map(frozenset, members)),
+        cc_edges,
+        component_of,
+        tuple(sorted(tree.edges & removed)),
+    )
 
 
 def _cc_mst_edges(g: Graph, cc: CcGraph) -> list[int]:
     """MST of the components graph; returns original edge indices sorted
     non-decreasingly by (weight, original index)."""
-    order = sorted(cc.edges, key=lambda i: (g.edges[i].weight, i))
+    between = frozenset(cc.edges)
     uf = UnionFind(cc.t)
     chosen = []
-    for i in order:
-        e = g.edges[i]
-        if uf.union(cc.component_of[e.u], cc.component_of[e.v]):
+    for i, u, v in g.kruskal_order:
+        if i in between and uf.union(cc.component_of[u], cc.component_of[v]):
             chosen.append(i)
     return chosen
 
 
 def _matching(adjacent: list[list[int]], n_right: int) -> list[int] | None:
-    """Kuhn's augmenting-path bipartite matching; left i -> right index."""
+    """Kuhn's augmenting-path bipartite matching; left i -> right index.
+
+    The depth-first search keeps its path on explicit stacks, so an
+    augmenting path may be as long as the graph: `path[k]` is a left vertex
+    on the path, `next_j[k]` the position of the next right vertex it tries,
+    and `via[k]` the right vertex that led from `path[k]` to `path[k + 1]`.
+    """
     match_left = [-1] * len(adjacent)
     match_right = [-1] * n_right
-
-    def augment(i: int, seen: set[int]) -> bool:
-        for j in adjacent[i]:
-            if j in seen:
+    for root in range(len(adjacent)):
+        seen: set[int] = set()
+        path, next_j, via = [root], [0], []
+        while path:
+            tries = adjacent[path[-1]]
+            k = next_j[-1]
+            while k < len(tries) and tries[k] in seen:
+                k += 1
+            if k == len(tries):
+                path.pop()
+                next_j.pop()
+                if via:
+                    via.pop()
                 continue
+            j = tries[k]
+            next_j[-1] = k + 1
             seen.add(j)
-            if match_right[j] == -1 or augment(match_right[j], seen):
-                match_left[i] = j
-                match_right[j] = i
-                return True
-        return False
-
-    for i in range(len(adjacent)):
-        if not augment(i, set()):
+            via.append(j)
+            if match_right[j] == -1:
+                for i, j in zip(path, via):
+                    match_left[i] = j
+                    match_right[j] = i
+                break
+            path.append(match_right[j])
+            next_j.append(0)
+        else:
             return None
     return match_left
 
@@ -111,8 +133,7 @@ def _matching(adjacent: list[list[int]], n_right: int) -> list[int] | None:
 def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertificate:
     cc = build_cc_graph(g, removed)
     t = cc.t
-    tree = mst(g)
-    tree_removed = sorted(tree.edges & removed)
+    tree_removed = cc.tree_removed
     if len(tree_removed) != t - 1:
         raise GuaranteeError(
             f"T minus F has {t} components but F holds {len(tree_removed)} tree edges"
@@ -124,28 +145,37 @@ def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertifica
             f"the components graph's MST has {len(prime_edges)} edges, not {t - 1}"
         )
 
-    # forest connectivity using only prime edges with order index < i
+    # One union-find over the components, joined by the prime edges in
+    # order: before cut i it holds the forest of prime edges j < i.  Each
+    # label keeps its member list and the largest count among its members;
+    # a join relabels the smaller list into the larger.
+    label = list(range(t))
+    members = [[c] for c in range(t)]
+    top = [0] * t
     counts = [0] * t
     sides_cc: list[frozenset[int]] = []
     cuts: list[PartialCutSpec] = []
     for i in range(t - 1):
-        uf = UnionFind(t)
-        for j in range(i):
-            e = g.edges[prime_edges[j]]
-            uf.union(cc.component_of[e.u], cc.component_of[e.v])
         e_i = g.edges[prime_edges[i]]
-        left_root = uf.find(cc.component_of[e_i.u])
-        right_root = uf.find(cc.component_of[e_i.v])
-        left = frozenset(c for c in range(t) if uf.find(c) == left_root)
-        right = frozenset(c for c in range(t) if uf.find(c) == right_root)
-        k_left = max(counts[c] for c in left)
-        k_right = max(counts[c] for c in right)
-        side_cc = left if k_left <= k_right else right
+        left = label[cc.component_of[e_i.u]]
+        right = label[cc.component_of[e_i.v]]
+        if left == right:
+            raise GuaranteeError(f"prime edge {prime_edges[i]} closes a cycle")
+        small = left if top[left] <= top[right] else right
+        side_cc = frozenset(members[small])
         for c in side_cc:
             counts[c] += 1
+        top[small] += 1
         sides_cc.append(side_cc)
         side_vertices = frozenset().union(*(cc.components[c] for c in side_cc))
         cuts.append(partial_cut(g, side_vertices, e_i.weight))
+        if len(members[left]) < len(members[right]):
+            left, right = right, left
+        for c in members[right]:
+            label[c] = left
+        members[left] += members[right]
+        members[right] = []
+        top[left] = max(top[left], top[right])
 
     # perfect matching: cut i is matchable to any T&F edge crossing its side
     adjacent = []
@@ -229,10 +259,12 @@ def certify(g: Graph, removed: frozenset[int], cert: RelaxationCertificate) -> d
     else:
         checks["matching_profit_identity"] = False
 
-    # (f) total cut profit covers the solution profit
+    # (f) total cut profit covers the solution profit; each cut's profit is
+    # MST(G minus C) - MST(G), with MST(G) computed once
+    base = mst(g).weight
     total = ZERO
     for cut in cert.cuts:
-        total = total + profit(g, cut.edges)
+        total = total + (mst(g, cut.edges).weight - base)
     checks["profit_cover"] = total >= cert.profit_value
 
     # (g) typical vertices: fresh component per cut, plus one untouched

@@ -134,3 +134,17 @@ def connected_random_subset(g: Graph, rng: random.Random) -> frozenset[int]:
         if len(brute_components(g, frozenset(removed | {i}))) == 1:
             removed.add(i)
     return frozenset(removed)
+
+
+def max_tree_complement(g: Graph) -> frozenset[int]:
+    """Every edge outside one maximum-weight spanning tree of connected g:
+    a removal set that keeps g connected while T minus F falls apart into
+    about n components."""
+    label = list(range(g.n_vertices))
+    keep = set()
+    for i in sorted(range(g.n_edges), key=lambda i: -g.edges[i].weight):
+        a, b = label[g.edges[i].u], label[g.edges[i].v]
+        if a != b:
+            keep.add(i)
+            label = [a if x == b else x for x in label]
+    return frozenset(range(g.n_edges)) - keep

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import mstint
+from conftest import max_tree_complement
 from mstint import cuts, eps, relaxation
 from mstint.cli import main
 from mstint.cuts import CutResult
@@ -144,6 +145,24 @@ def test_certify_broken_certificate_exits_1(capsys, monkeypatch, t3_file):
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("guarantee violated:")
+
+
+def test_certify_large_solution(capsys, tmp_path):
+    # every edge outside a max-weight spanning tree: T minus F falls into
+    # about 600 components, so the run makes about 600 cuts
+    g = gen_random(5, 600, 2400, 1000, 10)
+    path = tmp_path / "large.txt"
+    path.write_text(serialize_instance(g))
+    removed = ",".join(map(str, sorted(max_tree_complement(g))))
+    argv = ["certify", str(path), "--edges", removed, "--json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    record = json.loads(out)
+    assert record["ok"] is True
+    assert record["n_cuts"] > 500
+    proc = _run_optimized("-m", "mstint.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == record
 
 
 def test_stdin_instance(capsys, monkeypatch):

@@ -1,14 +1,40 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import connected_random_subset
+from conftest import connected_random_subset, max_tree_complement
+from mstint import relaxation
+from mstint.cli import main
 from mstint.generators import gen_random
-from mstint.graph import Edge, Graph
-from mstint.mst import DisconnectedGraphError, mst, profit
-from mstint.quantities import finite, log2_bounds
-from mstint.relaxation import build_cc_graph, build_cut_sequence, certify
+from mstint.graph import Edge, Graph, serialize_instance
+from mstint.mst import (
+    DisconnectedGraphError,
+    SpanningForest,
+    UnionFind,
+    mst,
+    partial_cut,
+    profit,
+)
+from mstint.quantities import (
+    INFINITY,
+    ZERO,
+    QuantityOverflowError,
+    checked_sum,
+    finite,
+    log2_bounds,
+)
+from mstint.relaxation import (
+    CcGraph,
+    RelaxationCertificate,
+    _matching,
+    build_cc_graph,
+    build_cut_sequence,
+    certify,
+)
+
+mst_module = importlib.import_module("mstint.mst")
 
 
 def test_cc_graph_t3_single_removal(t3):
@@ -109,3 +135,310 @@ def test_matching_profit_identity_is_exact():
         cert = build_cut_sequence(g, removed)
         assert cert.profit_value.is_finite
         assert cert.profit_lb_sum == cert.profit_value.units
+
+
+# --- reference certify path: a Kruskal that sorts on every call, a fresh
+# union-find per cut, a recursive matching and profit() per cut
+
+
+def ref_mst(g: Graph, exclude=()) -> SpanningForest:
+    banned = frozenset(exclude)
+    order = sorted(
+        (i for i in range(g.n_edges) if i not in banned),
+        key=lambda i: (g.edges[i].weight, i),
+    )
+    uf = UnionFind(g.n_vertices)
+    chosen = []
+    for i in order:
+        e = g.edges[i]
+        if uf.union(e.u, e.v):
+            chosen.append(i)
+            if len(chosen) == g.n_vertices - 1:
+                break
+    if len(chosen) < g.n_vertices - 1:
+        return SpanningForest(frozenset(chosen), INFINITY)
+    weight = finite(checked_sum(g.edges[i].weight for i in chosen))
+    return SpanningForest(frozenset(chosen), weight)
+
+
+def ref_profit(g: Graph, removed):
+    base = ref_mst(g)
+    if not base.weight.is_finite and g.n_vertices > 1:
+        raise DisconnectedGraphError("profit is undefined on a disconnected graph")
+    if g.n_vertices == 1:
+        return finite(0)
+    return ref_mst(g, removed).weight - base.weight
+
+
+def ref_cc_graph(g: Graph, removed: frozenset[int]) -> CcGraph:
+    tree = ref_mst(g)
+    assert tree.weight.is_finite and ref_mst(g, removed).weight.is_finite
+    uf = UnionFind(g.n_vertices)
+    for i in tree.edges:
+        if i not in removed:
+            uf.union(g.edges[i].u, g.edges[i].v)
+    roots = sorted({uf.find(v) for v in range(g.n_vertices)})
+    relabel = {r: c for c, r in enumerate(roots)}
+    component_of = tuple(relabel[uf.find(v)] for v in range(g.n_vertices))
+    components = tuple(
+        frozenset(v for v in range(g.n_vertices) if component_of[v] == c)
+        for c in range(len(roots))
+    )
+    cc_edges = tuple(
+        i
+        for i, e in enumerate(g.edges)
+        if i not in removed and component_of[e.u] != component_of[e.v]
+    )
+    return CcGraph(components, cc_edges, component_of, tuple(sorted(tree.edges & removed)))
+
+
+def ref_matching(adjacent, n_right):
+    match_left = [-1] * len(adjacent)
+    match_right = [-1] * n_right
+
+    def augment(i, seen):
+        for j in adjacent[i]:
+            if j in seen:
+                continue
+            seen.add(j)
+            if match_right[j] == -1 or augment(match_right[j], seen):
+                match_left[i] = j
+                match_right[j] = i
+                return True
+        return False
+
+    for i in range(len(adjacent)):
+        if not augment(i, set()):
+            return None
+    return match_left
+
+
+def ref_build(g: Graph, removed: frozenset[int]) -> RelaxationCertificate:
+    cc = ref_cc_graph(g, removed)
+    t = cc.t
+    tree_removed = sorted(ref_mst(g).edges & removed)
+    assert len(tree_removed) == t - 1
+    order = sorted(cc.edges, key=lambda i: (g.edges[i].weight, i))
+    uf = UnionFind(t)
+    prime_edges = [
+        i
+        for i in order
+        if uf.union(cc.component_of[g.edges[i].u], cc.component_of[g.edges[i].v])
+    ]
+    assert len(prime_edges) == t - 1
+    counts = [0] * t
+    sides_cc, cuts = [], []
+    for i in range(t - 1):
+        uf = UnionFind(t)
+        for j in range(i):
+            e = g.edges[prime_edges[j]]
+            uf.union(cc.component_of[e.u], cc.component_of[e.v])
+        e_i = g.edges[prime_edges[i]]
+        left_root = uf.find(cc.component_of[e_i.u])
+        right_root = uf.find(cc.component_of[e_i.v])
+        left = frozenset(c for c in range(t) if uf.find(c) == left_root)
+        right = frozenset(c for c in range(t) if uf.find(c) == right_root)
+        side_cc = left if max(counts[c] for c in left) <= max(counts[c] for c in right) else right
+        for c in side_cc:
+            counts[c] += 1
+        sides_cc.append(side_cc)
+        side_vertices = frozenset().union(*(cc.components[c] for c in side_cc))
+        cuts.append(partial_cut(g, side_vertices, e_i.weight))
+    adjacent = [
+        [
+            r
+            for r, ei in enumerate(tree_removed)
+            if (cc.component_of[g.edges[ei].u] in side)
+            != (cc.component_of[g.edges[ei].v] in side)
+        ]
+        for side in sides_cc
+    ]
+    matched = ref_matching(adjacent, len(tree_removed))
+    assert matched is not None
+    matching = tuple(tree_removed[j] for j in matched)
+    return RelaxationCertificate(
+        cuts=tuple(cuts),
+        tree_prime_edges=tuple(prime_edges),
+        small_sides_cc=tuple(sides_cc),
+        small_side_counts=tuple(counts),
+        matching=matching,
+        cost_sum=checked_sum(
+            checked_sum(g.edges[i].cost for i in cut.edges) if cut.edges else 0
+            for cut in cuts
+        ),
+        profit_lb_sum=sum(
+            g.edges[prime_edges[i]].weight - g.edges[matching[i]].weight
+            for i in range(t - 1)
+        ),
+        profit_value=ref_profit(g, removed),
+        solution_cost=checked_sum(g.edges[i].cost for i in removed),
+    )
+
+
+def ref_certify(g: Graph, removed: frozenset[int], cert: RelaxationCertificate) -> dict:
+    t = len(cert.small_sides_cc) + 1
+    checks = {"cuts_within_solution": all(cut.edges <= removed for cut in cert.cuts)}
+    crossings: dict[int, int] = {}
+    for cut in cert.cuts:
+        for i in cut.edges:
+            crossings[i] = crossings.get(i, 0) + 1
+    checks["crossing_bound"] = all((1 << k) <= t * t for k in crossings.values())
+    if t > 1:
+        lo, _ = log2_bounds(t)
+        checks["cost_bound"] = Fraction(cert.cost_sum) <= 2 * cert.solution_cost * lo
+    else:
+        checks["cost_bound"] = cert.cost_sum == 0
+    sides = cert.small_sides_cc
+    checks["laminar_sides"] = all(
+        not (a & b) or a <= b or b <= a
+        for x, a in enumerate(sides)
+        for b in sides[x + 1 :]
+    )
+    checks["matching_profit_identity"] = (
+        cert.profit_value.is_finite and cert.profit_lb_sum == cert.profit_value.units
+    )
+    total = ZERO
+    for cut in cert.cuts:
+        total = total + ref_profit(g, cut.edges)
+    checks["profit_cover"] = total >= cert.profit_value
+    typical, seen = True, set()
+    for side in sides:
+        typical &= bool(side - seen)
+        seen |= side
+    checks["typical_vertices"] = typical and not (len(seen) >= t and t > 1)
+    checks["ok"] = all(checks.values())
+    return checks
+
+
+def differential_cases():
+    """300 seeded (graph, removal set) pairs: n=4-60, weights that tie,
+    removal sets empty, random-connected and the max-spanning-tree
+    complement."""
+    for seed in range(300):
+        n = 4 + seed % 57
+        m = n - 1 + (seed * 7) % (2 * n + 1)
+        g = gen_random(seed, n, m, (0, 1, 3, 1000)[seed % 4], 1 + seed % 9)
+        kind = seed // 4 % 3
+        if kind == 0:
+            removed = frozenset()
+        elif kind == 1:
+            removed = connected_random_subset(g, random.Random(seed ^ 0xD1FF))
+        else:
+            removed = max_tree_complement(g)
+        yield seed, g, removed
+
+
+def test_certify_matches_reference():
+    kinds = set()
+    for seed, g, removed in differential_cases():
+        cert = build_cut_sequence(g, removed)
+        assert cert == ref_build(g, removed), seed
+        report = certify(g, removed, cert)
+        assert report == ref_certify(g, removed, cert), seed
+        assert report["ok"], (seed, report)
+        kinds.add(min(len(cert.cuts), 2))
+    assert kinds == {0, 1, 2}
+
+
+def test_mst_matches_reference():
+    rng = random.Random(0x4D57)
+    graphs = [Graph(1, ())]
+    for seed in range(120):
+        n = 2 + seed % 13
+        if seed % 3:
+            g = gen_random(seed, n, n - 1 + seed % (2 * n), (0, 1, 3, 1000)[seed % 4], 5)
+        else:  # any edge set, often disconnected
+            edges = []
+            for _ in range(seed % (2 * n)):
+                u, v = rng.sample(range(n), 2)
+                edges.append(Edge(u, v, rng.randint(0, 3), 1))
+            g = Graph(n, tuple(edges))
+        graphs.append(g)
+    disconnected = 0
+    for g in graphs:
+        picks = [i for i in range(g.n_edges) if rng.random() < 0.3]
+        for exclude in ((), picks, tuple(picks), set(picks), frozenset(picks)):
+            forest = mst(g, exclude)
+            assert forest == ref_mst(g, exclude)
+            disconnected += not forest.weight.is_finite
+    assert disconnected > 0
+
+
+def test_mst_weight_overflow_is_checked():
+    huge = 2**62
+    g = Graph(3, (Edge(0, 1, huge, 1), Edge(1, 2, huge, 1)))
+    with pytest.raises(QuantityOverflowError):
+        ref_mst(g)
+    with pytest.raises(QuantityOverflowError):
+        mst(g)
+    assert mst(g, {1}).weight == INFINITY
+
+
+def test_matching_long_augmenting_path():
+    # each new left vertex displaces the whole chain: one augmenting path
+    # of 5000 steps, deeper than Python's recursion limit
+    n = 5000
+    adjacent = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
+    assert _matching(adjacent, n) == list(range(n))
+
+
+def test_matching_matches_reference():
+    rng = random.Random(0x3A7C)
+    for _ in range(300):
+        left, right = rng.randint(0, 8), rng.randint(0, 8)
+        adjacent = [
+            rng.sample(range(right), rng.randint(0, right)) for _ in range(left)
+        ]
+        assert _matching(adjacent, right) == ref_matching(adjacent, right)
+
+
+# --- the work of one certify run, as counts
+
+
+def certify_run_counts(monkeypatch, tmp_path, g: Graph, removed) -> dict:
+    """Calls of `mst`, `UnionFind` objects and `kruskal_order` computations
+    in one `mstint certify` run."""
+    counts = {"mst": 0, "union_find": 0, "kruskal_order": 0}
+    real_mst = mst_module.mst
+
+    def counted_mst(*args, **kwargs):
+        counts["mst"] += 1
+        return real_mst(*args, **kwargs)
+
+    class CountedUnionFind(UnionFind):
+        def __init__(self, n):
+            counts["union_find"] += 1
+            super().__init__(n)
+
+    order = Graph.__dict__["kruskal_order"]
+    real_order = order.func
+
+    def counted_order(graph):
+        counts["kruskal_order"] += 1
+        return real_order(graph)
+
+    path = tmp_path / "instance.txt"
+    path.write_text(serialize_instance(g))
+    with monkeypatch.context() as patch:
+        patch.setattr(mst_module, "mst", counted_mst)
+        patch.setattr(relaxation, "mst", counted_mst)
+        patch.setattr(relaxation, "UnionFind", CountedUnionFind)
+        patch.setattr(order, "func", counted_order)
+        assert main(["certify", str(path), "--edges", ",".join(map(str, removed))]) == 0
+    return counts
+
+
+def test_certify_work_counts(monkeypatch, tmp_path):
+    for seed in range(6):
+        g = gen_random(seed, 30 + 10 * seed, 120 + 40 * seed, (3, 1000)[seed % 2], 5)
+        removed = sorted(max_tree_complement(g))
+        t = len(build_cut_sequence(g, frozenset(removed)).small_sides_cc) + 1
+        assert t > 20
+        counts = certify_run_counts(monkeypatch, tmp_path, g, removed)
+        # one Kruskal per cut, plus five: MST(G) and MST(G minus F) for the
+        # components, the two of profit(F), and MST(G) once for check (f)
+        assert counts["mst"] == (t - 1) + 5
+        # the components of T minus F and the components graph's MST; the
+        # cut sequence itself builds none
+        assert counts["union_find"] <= 2
+        assert counts["kruskal_order"] == 1
