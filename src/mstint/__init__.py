@@ -2,7 +2,7 @@
 budget/profit approximations with certified guarantees, and protection.
 """
 from .budget import InfeasibleError, budget_approximate, reduce_budget_range
-from .cuts import CutResult, enumerate_min_st_cuts, global_min_cut, min_st_cut
+from .cuts import CutResult, global_min_cut, min_st_cut
 from .eps import NoFiniteCutError, eps_increase
 from .generators import gen_bad_example, gen_random
 from .graph import Candidate, Edge, Graph, ParseError, parse_instance, parse_instance_full, serialize_instance
@@ -27,7 +27,6 @@ from .protection import (
     OptimalCutListing,
     ProtectionInstance,
     UncoverableCutError,
-    list_optimal_cuts,
     protect,
 )
 from .quantities import (
@@ -40,7 +39,7 @@ from .quantities import (
     parse_quantity,
 )
 from .relaxation import RelaxationCertificate, build_cut_sequence, certify
-from .solution import InterdictionSolution, serialize_solution, solution_record
+from .solution import InterdictionSolution, solution_record
 
 __all__ = [
     "INFINITY",
@@ -68,7 +67,6 @@ __all__ = [
     "budget_approximate",
     "build_cut_sequence",
     "certify",
-    "enumerate_min_st_cuts",
     "eps_increase",
     "finite",
     "format_quantity",
@@ -76,7 +74,6 @@ __all__ = [
     "gen_random",
     "global_min_cut",
     "is_connected",
-    "list_optimal_cuts",
     "min_st_cut",
     "mst",
     "oracle_budget",
@@ -91,6 +88,5 @@ __all__ = [
     "protect",
     "reduce_budget_range",
     "serialize_instance",
-    "serialize_solution",
     "solution_record",
 ]

@@ -1,4 +1,4 @@
-"""Minimum s-t cuts, global minimum cut, and bounded min-cut enumeration.
+"""Minimum s-t cuts and the global minimum cut.
 
 Cuts are always taken with respect to edge removal COSTS; a filter predicate
 decides which edges participate at all.  Infinity-cost edges are modeled as
@@ -28,17 +28,13 @@ from .quantities import (
 
 EdgeFilter = Callable[[int, Edge], bool]
 
-# Instrumentation: number of min_st_cut invocations (runtime-shape tests).
+# Instrumentation: min_st_cut and global_min_cut invocations; callers take
+# the difference of two readings.
 _mincut_calls = 0
 
 
 def mincut_call_count() -> int:
     return _mincut_calls
-
-
-def reset_mincut_calls() -> None:
-    global _mincut_calls
-    _mincut_calls = 0
 
 
 @dataclass(frozen=True)
@@ -271,149 +267,3 @@ def _stoer_wagner(adj: list[dict[int, int]]) -> tuple[int, set[int]]:
         groups.union(keep, gone)
     root = groups.find(last)
     return value, {v for v in range(n) if groups.find(v) == root}
-
-
-def _free_closed_sets(order: list[int], succ: dict[int, set[int]], limit: int):
-    """Yield subsets of SCC ids closed under residual successors.
-
-    `order` is topological (successors after predecessors is NOT required;
-    we process sinks first so every branch is viable).
-    """
-    results: list[frozenset[int]] = []
-
-    def rec(idx: int, chosen: set[int]) -> bool:
-        if len(results) > limit:
-            return False
-        if idx == len(order):
-            results.append(frozenset(chosen))
-            return len(results) <= limit
-        node = order[idx]
-        # out
-        if not rec(idx + 1, chosen):
-            return False
-        # in, only if all successors already in
-        if succ[node] <= chosen:
-            chosen.add(node)
-            ok = rec(idx + 1, chosen)
-            chosen.discard(node)
-            if not ok:
-                return False
-        return True
-
-    rec(0, set())
-    return results
-
-
-def enumerate_min_st_cuts(
-    g: Graph,
-    s: int,
-    t: int,
-    edge_filter: EdgeFilter | None = None,
-    cap: int = 1 << 30,
-) -> tuple[list[CutResult], bool]:
-    """Distinct minimum s-t cuts from the residual closed-set structure.
-
-    Returns at most `cap` cuts plus a flag telling whether more exist.
-    """
-    global _mincut_calls
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if s == t:
-        raise ValueError("s and t must differ")
-    _mincut_calls += 1
-    net, participating, _big = _build_net(g, edge_filter)
-    net.max_flow(s, t)
-
-    n = g.n_vertices
-    adj = [[] for _ in range(n)]
-    radj = [[] for _ in range(n)]
-    for u in range(n):
-        for a in net.head[u]:
-            if net.cap[a] > 0:
-                adj[u].append(net.to[a])
-                radj[net.to[a]].append(u)
-
-    forced_in = net.residual_reachable(s)
-    # vertices that can reach t in the residual graph are forced out
-    reach_t = {t}
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        for v in radj[u]:
-            if v not in reach_t:
-                reach_t.add(v)
-                stack.append(v)
-    free = [v for v in range(n) if v not in forced_in and v not in reach_t]
-
-    # condense residual SCCs among the free vertices
-    index = {v: i for i, v in enumerate(free)}
-    comp = _scc([ [index[w] for w in adj[v] if w in index] for v in free ])
-    n_comp = (max(comp) + 1) if comp else 0
-    members: list[list[int]] = [[] for _ in range(n_comp)]
-    for v, c in zip(free, comp):
-        members[c].append(v)
-    succ: dict[int, set[int]] = {c: set() for c in range(n_comp)}
-    for v in free:
-        for w in adj[v]:
-            if w in index and comp[index[w]] != comp[index[v]]:
-                succ[comp[index[v]]].add(comp[index[w]])
-
-    closed = _free_closed_sets(list(range(n_comp)), succ, cap)
-    truncated = len(closed) > cap
-    cuts = []
-    for chosen in closed[:cap]:
-        side = set(forced_in)
-        for c in chosen:
-            side.update(members[c])
-        cuts.append(_cut_of_side(g, participating, side))
-    if len({c.cost for c in cuts}) != 1:
-        raise GuaranteeError("enumerated cuts must share the minimum cost")
-    cuts.sort(key=lambda c: sorted(c.side))
-    return cuts, truncated
-
-
-def _scc(adj: list[list[int]]) -> list[int]:
-    """Tarjan SCC, iterative; returns component id per node."""
-    n = len(adj)
-    comp = [-1] * n
-    low = [0] * n
-    num = [0] * n
-    on = [False] * n
-    stack: list[int] = []
-    counter = 0
-    comps = 0
-    for root in range(n):
-        if comp[root] != -1 or num[root]:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                counter += 1
-                num[v] = low[v] = counter
-                stack.append(v)
-                on[v] = True
-            recurse = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if num[w] == 0:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                elif on[w]:
-                    low[v] = min(low[v], num[w])
-            if recurse:
-                continue
-            if low[v] == num[v]:
-                while True:
-                    w = stack.pop()
-                    on[w] = False
-                    comp[w] = comps
-                    if w == v:
-                        break
-                comps += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comp

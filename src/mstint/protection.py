@@ -1,14 +1,14 @@
-"""Defense against the minimum-cost increase: list the optimal cuts and
-cover them with buildable edges via greedy weighted set cover.
+"""Defense against the minimum-cost increase: generate the optimal cuts one
+at a time and cover them with buildable edges via greedy weighted set cover.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .cuts import enumerate_min_st_cuts, global_min_cut, min_st_cut
-from .eps import NoFiniteCutError, class_components
+from .eps import eps_increase
 from .graph import Candidate, Edge, Graph
-from .mst import DisconnectedGraphError, PartialCutSpec, is_connected, mst
+from .mst import PartialCutSpec, mst, partial_cut
 from .quantities import GuaranteeError
 
 
@@ -45,48 +45,9 @@ class ProtectionInstance:
 
 @dataclass(frozen=True)
 class OptimalCutListing:
-    cuts: tuple[PartialCutSpec, ...]
-    optimal_cost: int
-    # False if an enumeration that could hold an optimal cut was truncated
-    complete: bool
-
-
-def list_optimal_cuts(g: Graph) -> OptimalCutListing:
-    """All optimal-cost cuts the minimum-increase algorithm considers.
-
-    Walks the weight-class sweep of `eps_increase`.  Only in a component
-    whose global minimum cut costs the optimum, and only for a tree edge
-    whose own minimum s-t cut does too, are the minimum s-t cuts enumerated
-    (capped at 4*n^2 each); every other cut costs more than the optimum.
-    Cuts are de-duplicated by realized edge set.
-    """
-    if not is_connected(g):
-        raise DisconnectedGraphError("graph is disconnected")
-    classes = [(inst, global_min_cut(inst.aux)) for inst in class_components(g)]
-    finite_costs = [cut.cost for _, cut in classes if cut.cost.is_finite]
-    if not finite_costs:
-        raise NoFiniteCutError("every candidate cut has infinite cost")
-    optimum = min(finite_costs)
-    tree = mst(g).edges
-    cap = 4 * g.n_vertices * g.n_vertices
-    complete = True
-    by_edges: dict[frozenset[int], PartialCutSpec] = {}
-    for inst, class_cut in classes:
-        if class_cut.cost != optimum:
-            continue
-        for i, e in enumerate(inst.aux.edges):
-            if inst.orig_index[i] not in tree:
-                continue
-            if min_st_cut(inst.aux, e.u, e.v).cost != optimum:
-                continue
-            cuts, truncated = enumerate_min_st_cuts(inst.aux, e.u, e.v, cap=cap)
-            complete = complete and not truncated
-            for cut in cuts:
-                edges = frozenset(inst.orig_index[j] for j in cut.edges)
-                if edges not in by_edges:
-                    by_edges[edges] = inst.realize(g, cut)
-    listed = tuple(sorted(by_edges.values(), key=lambda c: sorted(c.edges)))
-    return OptimalCutListing(listed, optimum.units, complete)
+    cuts: tuple[PartialCutSpec, ...]  # the generated family, in round order
+    optimal_cost: int  # minimum increase cost of the base graph
+    cost_after: int  # minimum increase cost with the chosen candidates built
 
 
 def covers(candidate: Candidate, cut: PartialCutSpec) -> bool:
@@ -96,43 +57,74 @@ def covers(candidate: Candidate, cut: PartialCutSpec) -> bool:
 
 
 def protect(inst: ProtectionInstance) -> tuple[frozenset[int], OptimalCutListing]:
-    """Greedy weighted set cover of the optimal cuts by candidate edges.
+    """Greedy weighted set cover of the optimal cuts, generated one at a time.
 
-    Returns the chosen candidate indices and the cut listing (whose
-    `complete` flag qualifies the strict-increase guarantee).
+    Each round runs `eps_increase` on the base graph plus the chosen
+    candidates.  While the cheapest increase still costs the base optimum,
+    its cut is an optimal base cut that no chosen candidate covers (checked,
+    so no cut comes twice and the loop ends): it joins the family, and the
+    greedy cover of the whole family is recomputed from scratch.  The loop ends when the cheapest increase
+    costs more, so the rise is certified by construction; k generated cuts
+    take k + 1 runs of `eps_increase`.
+
+    A family cut C(S, W'') takes as W'' the least weight above its class
+    weight w over the base edges and the candidates, so a candidate covers
+    it iff it crosses S with weight at most w.
     """
-    listing = list_optimal_cuts(inst.base)
-    coverage = [
-        frozenset(
-            i for i, cut in enumerate(listing.cuts) if covers(cand, cut)
-        )
-        for cand in inst.candidates
-    ]
-    covered_by_any = frozenset().union(*coverage) if coverage else frozenset()
-    for i, cut in enumerate(listing.cuts):
-        if i not in covered_by_any:
+    weights = sorted(
+        {e.weight for e in inst.base.edges} | {c.weight for c in inst.candidates}
+    )
+    g = inst.base
+    sol = eps_increase(g)
+    before = sol.cost
+    cuts: list[PartialCutSpec] = []
+    coverage: list[set[int]] = [set() for _ in inst.candidates]
+    chosen: frozenset[int] = frozenset()
+    while sol.cost == before:
+        (found,) = sol.cuts
+        w = g.edges[min(found.edges)].weight
+        k = bisect_right(weights, w)
+        cut = partial_cut(inst.base, found.side, weights[k] if k < len(weights) else None)
+        if cut.edges != found.edges:
+            raise GuaranteeError("an optimal cut differs from its partial cut on the base graph")
+        covering = [i for i, c in enumerate(inst.candidates) if covers(c, cut)]
+        if not chosen.isdisjoint(covering):
+            raise GuaranteeError("a chosen candidate covers a cut that is still optimal")
+        if not covering:
             raise UncoverableCutError(
                 f"cut over side {sorted(cut.side)} (edges {sorted(cut.edges)}) "
                 "is not coverable by any candidate"
             )
+        for i in covering:
+            coverage[i].add(len(cuts))
+        cuts.append(cut)
+        chosen = _greedy_cover(inst.candidates, coverage, len(cuts))
+        g = inst.augmented(chosen)
+        sol = eps_increase(g)
+    if sol.cost < before:
+        raise GuaranteeError("building candidate edges lowered the minimum increase cost")
+    return chosen, OptimalCutListing(tuple(cuts), before, sol.cost)
 
-    uncovered = set(range(len(listing.cuts)))
+
+def _greedy_cover(
+    candidates: tuple[Candidate, ...], coverage: list[set[int]], n_cuts: int
+) -> frozenset[int]:
+    """Cheapest build cost per newly covered cut first, ties to the lower index."""
+    uncovered = set(range(n_cuts))
     chosen: set[int] = set()
     while uncovered:
         best_idx = None
-        best_new: frozenset[int] = frozenset()
-        for idx, cand in enumerate(inst.candidates):
-            if idx in chosen:
-                continue
+        best_new: set[int] = set()
+        for idx, cand in enumerate(candidates):
             new = coverage[idx] & uncovered
             if not new:
                 continue
             if best_idx is None or cand.build_cost * len(best_new) < (
-                inst.candidates[best_idx].build_cost * len(new)
+                candidates[best_idx].build_cost * len(new)
             ):
                 best_idx, best_new = idx, new
-        if best_idx is None:  # coverability was checked up front
+        if best_idx is None:  # every family cut has a covering candidate
             raise GuaranteeError("no candidate covers an uncovered cut")
         chosen.add(best_idx)
         uncovered -= best_new
-    return frozenset(chosen), listing
+    return frozenset(chosen)

@@ -1,7 +1,6 @@
 """Interdiction solutions, greedy traces, and the machine-readable record."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -64,7 +63,3 @@ def solution_record(sol: InterdictionSolution) -> dict:
         "profit": str(sol.profit),
         "cuts": [_cut_record(c) for c in sol.cuts],
     }
-
-
-def serialize_solution(sol: InterdictionSolution) -> str:
-    return json.dumps(solution_record(sol), indent=None, sort_keys=True)

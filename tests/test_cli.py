@@ -7,7 +7,7 @@ import pytest
 
 import mstint
 from conftest import max_tree_complement
-from mstint import cuts, eps, relaxation
+from mstint import cli, cuts, eps, protection, relaxation
 from mstint.cli import main
 from mstint.cuts import CutResult
 from mstint.generators import gen_random
@@ -228,6 +228,67 @@ def test_protect(capsys, tmp_path):
     assert record["chosen_candidates"] == [0, 1]
     assert record["eps_cost_before"] == "1"
     assert record["eps_cost_after"] > record["eps_cost_before"]
+
+
+def test_protect_between_weights_not_coverable(capsys, tmp_path):
+    # a candidate between the cut's weight 1 and the next weight 3 leaves the
+    # cut at cost 1 when built: it covers nothing, so nothing covers the cut
+    p = tmp_path / "between.txt"
+    p.write_text("2 2\n0 1 1 1\n0 1 3 10\nprotect 1\n0 1 2 1 10\n")
+    code, out, err = run(capsys, ["protect", str(p), "--json"])
+    assert (code, out) == (2, "")
+    assert "not coverable" in err
+
+
+def test_protect_large_unit_cycle(capsys, tmp_path):
+    # one candidate cannot cover every pair of cycle edges; the closed-set
+    # enumeration this replaced recursed once per vertex and died here
+    n = 1200
+    path = tmp_path / "cycle.txt"
+    path.write_text(
+        f"{n} {n}\n"
+        + "".join(f"{i} {(i + 1) % n} 1 1\n" for i in range(n))
+        + "protect 1\n0 1 1 1 1\n"
+    )
+    code, _, err = run(capsys, ["protect", str(path), "--json"])
+    assert code == 2
+    assert "not coverable" in err
+    proc = _run_optimized("-m", "mstint.cli", "protect", str(path), "--json")
+    assert proc.returncode == 2
+    assert "not coverable" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_protect_work_count(capsys, monkeypatch, tmp_path):
+    # one eps_increase run per generated cut plus the one that shows the
+    # rise; the CLI takes both costs from the listing and runs none itself
+    calls = []
+    real = protection.eps_increase
+
+    def counted(g):
+        calls.append(g.n_edges)
+        return real(g)
+
+    def forbidden(g):
+        raise AssertionError("the CLI ran eps_increase itself")
+
+    monkeypatch.setattr(protection, "eps_increase", counted)
+    monkeypatch.setattr(cli, "eps_increase", forbidden)
+    n = 40
+    unit_path = (
+        f"{n} {n - 1}\n"
+        + "".join(f"{i} {i + 1} 1 1\n" for i in range(n - 1))
+        + f"protect {n - 1}\n"
+        + "".join(f"{i} {i + 1} 1 1 1\n" for i in range(n - 1))
+    )
+    t3_protect = T3 + "protect 2\n0 1 1 2 4\n1 2 2 3 4\n"
+    for text, n_cuts in ((t3_protect, 2), (unit_path, n - 1)):
+        p = tmp_path / "instance.txt"
+        p.write_text(text)
+        calls.clear()
+        code, out, _ = run(capsys, ["protect", str(p), "--json"])
+        assert code == 0
+        assert json.loads(out)["n_cuts"] == n_cuts
+        assert len(calls) == n_cuts + 1
 
 
 def test_gen_random_pipes_to_mst(capsys, tmp_path):

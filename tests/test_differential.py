@@ -11,13 +11,12 @@ import random
 
 import pytest
 
-from mstint.cuts import enumerate_min_st_cuts, min_st_cut
+from mstint.cuts import min_st_cut
 from mstint.eps import NoFiniteCutError, eps_increase
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
 from mstint.mst import mst, profit
-from mstint.protection import list_optimal_cuts
-from mstint.quantities import ZERO, finite
+from mstint.quantities import ZERO
 
 MAX_WEIGHTS = (0, 1, 3, 20, 1000)
 
@@ -72,21 +71,6 @@ def flow_eps_cost(g: Graph):
     return best
 
 
-def flow_listing(g: Graph, optimum: int, cap: int):
-    """Edge sets of every optimal min s-t cut of every tree edge, and
-    whether any enumeration was truncated."""
-    listed = set()
-    complete = True
-    for tree_edge in sorted(mst(g).edges):
-        aux, orig, s, t = contracted_around(g, tree_edge)
-        cuts, truncated = enumerate_min_st_cuts(aux, s, t, cap=cap)
-        if cuts[0].cost != finite(optimum):
-            continue
-        complete = complete and not truncated
-        listed |= {frozenset(orig[i] for i in cut.edges) for cut in cuts}
-    return listed, complete
-
-
 def with_inf_costs(g: Graph, rng: random.Random, share: float) -> Graph:
     return Graph(
         g.n_vertices,
@@ -124,23 +108,3 @@ def test_eps_matches_flow_reference():
         assert sol.profit == profit(g, sol.edges)
         checked += 1
     assert checked >= 150
-
-
-def test_listing_matches_flow_reference():
-    complete_lists = 0
-    for seed, g in instances(60, 20, 60):
-        try:
-            listing = list_optimal_cuts(g)
-        except NoFiniteCutError:
-            assert flow_eps_cost(g) is None
-            continue
-        cap = 4 * g.n_vertices * g.n_vertices
-        expected, complete = flow_listing(g, listing.optimal_cost, cap)
-        if not complete:
-            continue
-        complete_lists += 1
-        assert listing.complete, seed
-        assert {c.edges for c in listing.cuts} == expected, seed
-        for cut in listing.cuts:
-            assert sum(g.edges[i].cost for i in cut.edges) == listing.optimal_cost
-    assert complete_lists >= 40

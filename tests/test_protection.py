@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -7,13 +6,12 @@ import pytest
 from mstint.eps import eps_increase
 from mstint.generators import gen_random
 from mstint.graph import Candidate, Edge, Graph
-from mstint.mst import mst, profit
+from mstint.mst import PartialCutSpec, mst, partial_cut, profit
 from mstint.protection import (
     CandidateInvariantError,
     ProtectionInstance,
     UncoverableCutError,
     covers,
-    list_optimal_cuts,
     protect,
 )
 from mstint.quantities import ZERO
@@ -38,32 +36,78 @@ def mirror_candidates(g: Graph, rng: random.Random, count: int) -> tuple[Candida
     )
 
 
-def test_list_optimal_cuts_t3(t3):
-    listing = list_optimal_cuts(t3)
+def offset_candidates(g: Graph, rng: random.Random, count: int) -> tuple[Candidate, ...]:
+    """Candidates beside random edges, weighing the heaviest MST edge on the
+    tree path between the edge's ends plus 0, 1/2, 1 or 3/2 units: never below
+    that MST edge, so the invariant holds, and often strictly between two
+    edge weights."""
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n_vertices)}
+    for i in mst(g).edges:
+        e = g.edges[i]
+        adj[e.u].append((e.v, e.weight))
+        adj[e.v].append((e.u, e.weight))
+    picks = []
+    for _ in range(count):
+        e = g.edges[rng.randrange(g.n_edges)]
+        u, v = e.u, e.v
+        heaviest = {u: 0}
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            for y, w in adj[x]:
+                if y not in heaviest:
+                    heaviest[y] = max(heaviest[x], w)
+                    stack.append(y)
+        weight = heaviest[v] + rng.choice((0, 1, 2, 3)) * SCALE // 2
+        picks.append(
+            Candidate(u, v, weight, rng.randint(1, 5) * SCALE, rng.randint(1, 5) * SCALE)
+        )
+    return tuple(picks)
+
+
+def test_protect_family_t3(t3):
+    # both optimal cuts of t3 are generated, one per round
+    inst = ProtectionInstance(
+        t3,
+        (
+            Candidate(0, 1, SCALE, 2 * SCALE, 4 * SCALE),
+            Candidate(1, 2, 2 * SCALE, 3 * SCALE, 4 * SCALE),
+        ),
+    )
+    _, listing = protect(inst)
     assert listing.optimal_cost == SCALE
-    assert listing.complete
-    assert {c.edges for c in listing.cuts} >= {frozenset({0}), frozenset({1})}
+    assert [c.edges for c in listing.cuts] == [frozenset({0}), frozenset({1})]
+    assert listing.cost_after == 5 * SCALE
 
 
-def test_list_optimal_cuts_p2(p2):
-    listing = list_optimal_cuts(p2)
-    assert [c.edges for c in listing.cuts] == [frozenset({0})]
+def test_protect_family_p2(p2):
+    # no weight lies above the only edge's: the family cut is complete; of
+    # two equal candidates the greedy keeps the lower index
+    twin = Candidate(0, 1, 5 * SCALE, SCALE, SCALE)
+    chosen, listing = protect(ProtectionInstance(p2, (twin, twin)))
+    assert chosen == frozenset({0})
+    assert listing.cuts == (PartialCutSpec(frozenset({0}), None, frozenset({0})),)
+    assert (listing.optimal_cost, listing.cost_after) == (3 * SCALE, 4 * SCALE)
 
 
 def test_listed_cuts_are_optimal_and_profitable():
     for seed in range(30):
         g = gen_random(seed, 4 + seed % 4, 6 + seed % 5, 5, 5)
         best = eps_increase(g).cost
-        listing = list_optimal_cuts(g)
+        # a mirror of every edge covers every optimal cut
+        inst = ProtectionInstance(
+            g, tuple(Candidate(e.u, e.v, e.weight, SCALE, SCALE) for e in g.edges)
+        )
+        _, listing = protect(inst)
         assert listing.optimal_cost == best
+        assert listing.cost_after > best
         for cut in listing.cuts:
             assert sum(g.edges[i].cost for i in cut.edges) == best
             assert profit(g, cut.edges) > ZERO
 
 
 def test_covers_semantics(t3):
-    listing = list_optimal_cuts(t3)
-    cut_e0 = next(c for c in listing.cuts if c.edges == frozenset({0}))
+    cut_e0 = PartialCutSpec(frozenset({0}), 2 * SCALE, frozenset({0}))
     assert covers(Candidate(0, 1, SCALE, SCALE, SCALE), cut_e0)
     # parallel edge too heavy for the threshold does not cover
     heavy = Candidate(0, 1, 10 * SCALE, SCALE, SCALE)
@@ -73,6 +117,16 @@ def test_covers_semantics(t3):
     assert not (
         (inner.u in cut_e0.side) != (inner.v in cut_e0.side)
     ) and not covers(inner, cut_e0)
+    # a candidate between the cut's weight 1 and the next edge weight 3
+    # leaves the cut at cost 1: the cut's threshold is the candidate's
+    # weight, so it does not cover, and no cover exists
+    g = Graph(2, (Edge(0, 1, SCALE, SCALE), Edge(0, 1, 3 * SCALE, 10 * SCALE)))
+    between = Candidate(0, 1, 2 * SCALE, SCALE, 10 * SCALE)
+    inst = ProtectionInstance(g, (between,))
+    assert eps_increase(inst.augmented({0})).cost == SCALE
+    assert not covers(between, partial_cut(g, {0}, 2 * SCALE))
+    with pytest.raises(UncoverableCutError):
+        protect(inst)
 
 
 def test_invariant_validation(t3):
@@ -90,11 +144,11 @@ def test_protect_t3_two_candidates(t3):
         ),
     )
     chosen, listing = protect(inst)
-    assert listing.complete
     assert chosen == frozenset({0, 1})
     before = eps_increase(t3).cost
     after = eps_increase(inst.augmented(chosen)).cost
     assert after > before
+    assert listing.cost_after == after
 
 
 def test_protect_uncoverable(t3):
@@ -121,6 +175,41 @@ def test_disjoint_coverage_picks_both():
     assert total == 5 * SCALE
 
 
+def test_protect_matches_all_candidates_built():
+    # the optimum survives building every candidate iff some optimal cut
+    # is uncoverable; otherwise the rise is strict and the family is covered
+    outcomes = {
+        (make, outcome): 0
+        for make in ("mirror_candidates", "offset_candidates")
+        for outcome in ("protected", "uncoverable")
+    }
+    for seed in range(400):
+        n = 5 + seed % 36
+        g = gen_random(seed + 3000, n, n - 1 + (seed * 7) % (2 * n), 3 + seed % 4, 5)
+        rng = random.Random(seed)
+        # offset candidates cover less often: more of them balance the outcomes
+        make, count = (mirror_candidates, n) if seed % 2 else (offset_candidates, 4 * n)
+        inst = ProtectionInstance(g, make(g, rng, count))
+        before = eps_increase(g).cost
+        all_built = eps_increase(inst.augmented(range(len(inst.candidates)))).cost
+        try:
+            chosen, listing = protect(inst)
+        except UncoverableCutError:
+            assert all_built == before, seed
+            outcomes[make.__name__, "uncoverable"] += 1
+            continue
+        assert all_built > before, seed
+        outcomes[make.__name__, "protected"] += 1
+        after = eps_increase(inst.augmented(chosen)).cost
+        assert listing.optimal_cost == before and listing.cost_after == after > before
+        for cut in listing.cuts:
+            assert cut == partial_cut(g, cut.side, cut.threshold)
+            assert sum(g.edges[i].cost for i in cut.edges) == before, seed
+            assert profit(g, cut.edges) > ZERO
+            assert any(covers(inst.candidates[i], cut) for i in chosen), seed
+    assert min(outcomes.values()) >= 40, outcomes
+
+
 def brute_min_cover_cost(coverage, n_cuts, costs):
     best = None
     for mask in range(1 << len(coverage)):
@@ -145,8 +234,6 @@ def test_strict_increase_and_cover_quality_on_random_instances():
             inst = ProtectionInstance(g, mirror_candidates(g, rng, 3 + seed % 6))
             chosen, listing = protect(inst)
         except UncoverableCutError:
-            continue
-        if not listing.complete:
             continue
         successes += 1
         before = eps_increase(g).cost
