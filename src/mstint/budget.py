@@ -229,7 +229,7 @@ def _global_cut_candidate(g: Graph) -> tuple[int, frozenset[int]] | None:
     return cut.cost.units, cut.edges
 
 
-def _doubling(g: Graph, delta: int, run) -> tuple[frozenset[int], GreedyTrace] | None:
+def _doubling(g: Graph, run) -> tuple[frozenset[int], GreedyTrace] | None:
     finite_costs = [e.cost for e in g.edges if e.cost is not None]
     if not finite_costs:
         return None
@@ -273,7 +273,7 @@ def budget_approximate(g: Graph, delta: int) -> InterdictionSolution:
             g, budget, delta, lambda alive, b: best_ratio_cut(memo, alive, b)
         )
 
-    return _finish(g, _doubling(g, delta, run))
+    return _finish(g, _doubling(g, run))
 
 
 def reduce_budget_range(g: Graph, delta: int) -> tuple[int, int]:

@@ -13,7 +13,6 @@ import json
 import sys
 
 from .budget import InfeasibleError, budget_approximate
-from .bench import render_tsv, run_bench
 from .eps import NoFiniteCutError, eps_increase
 from .generators import gen_bad_example, gen_random
 from .graph import Graph, ParseError, parse_instance_full, serialize_instance
@@ -34,6 +33,7 @@ from .protection import (
 )
 from .quantities import (
     GuaranteeError,
+    QuantityOverflowError,
     QuantityParseError,
     format_quantity,
     parse_quantity,
@@ -216,20 +216,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"bad config: {exc}") from exc
-    try:
-        rows, ok = run_bench(config)
-    except (ValueError, KeyError) as exc:
-        raise InputError(f"bad config: {exc}") from exc
-    sys.stdout.write(render_tsv(rows))
-    return EXIT_OK if ok else EXIT_GUARANTEE
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mstint", description="MST interdiction toolkit"
@@ -274,10 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--removals", type=int, default=4)
     pb.add_argument("--components", type=int, default=5)
     pb.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("bench", help="run the benchmark/certification suites")
-    p.add_argument("--config", required=True, help="JSON suite configuration")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 
@@ -295,6 +277,7 @@ def main(argv=None) -> int:
     except (
         ParseError,
         QuantityParseError,
+        QuantityOverflowError,
         DisconnectedGraphError,
         NoFiniteCutError,
         InfeasibleError,

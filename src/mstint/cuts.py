@@ -28,15 +28,6 @@ from .quantities import (
 
 EdgeFilter = Callable[[int, Edge], bool]
 
-# Instrumentation: min_st_cut and global_min_cut invocations; callers take
-# the difference of two readings.
-_mincut_calls = 0
-
-
-def mincut_call_count() -> int:
-    return _mincut_calls
-
-
 @dataclass(frozen=True)
 class CutResult:
     side: frozenset[int]  # contains s
@@ -160,10 +151,8 @@ def min_st_cut(
     g: Graph, s: int, t: int, edge_filter: EdgeFilter | None = None
 ) -> CutResult:
     """Minimum-cost cut separating s from t over the participating edges."""
-    global _mincut_calls
     if s == t:
         raise ValueError("s and t must differ")
-    _mincut_calls += 1
     net, participating, big = _build_net(g, edge_filter)
     flow = net.max_flow(s, t)
     side = net.residual_reachable(s)
@@ -186,11 +175,9 @@ def global_min_cut(g: Graph) -> CutResult:
     disconnected graph the component of vertex 0 is the zero-cost side.
     The returned side contains vertex 0.
     """
-    global _mincut_calls
     n = g.n_vertices
     if n < 2:
         raise ValueError("global min cut needs at least two vertices")
-    _mincut_calls += 1
     participating = list(range(g.n_edges))
     big = checked_sum(e.cost for e in g.edges if e.cost is not None) + 1
     adj: list[dict[int, int]] = [{} for _ in range(n)]

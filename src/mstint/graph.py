@@ -35,10 +35,6 @@ class Edge:
     weight: int  # scaled units, >= 0
     cost: int | None  # scaled units > 0, or None for the infinity sentinel
 
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
 
 @dataclass(frozen=True)
 class Candidate:

@@ -41,10 +41,6 @@ def checked_add(a: int, b: int) -> int:
     return check_quantity(a + b)
 
 
-def checked_mul(a: int, b: int) -> int:
-    return check_quantity(a * b)
-
-
 def checked_sum(values) -> int:
     total = 0
     for v in values:

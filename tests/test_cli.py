@@ -311,31 +311,6 @@ def test_gen_bad(capsys, tmp_path):
     assert json.loads(out)["weight"] == "101"
 
 
-def test_bench(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "suites": [
-                    {
-                        "kind": "eps",
-                        "seeds": [1, 2],
-                        "n": 5,
-                        "m": 8,
-                        "max_weight": 4,
-                        "max_cost": 4,
-                    }
-                ]
-            }
-        )
-    )
-    code, out, _ = run(capsys, ["bench", "--config", str(cfg)])
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("instance\talgorithm")
-    assert lines[-1].endswith("2/2 rows satisfied their bound")
-
-
 def test_input_errors(capsys, tmp_path, t3_file):
     assert run(capsys, ["mst", str(tmp_path / "missing.txt")])[0] == 2
     bad = tmp_path / "bad.txt"
@@ -346,6 +321,33 @@ def test_input_errors(capsys, tmp_path, t3_file):
     assert run(capsys, ["certify", t3_file, "--edges", "9"])[0] == 2
     # removal set that disconnects the graph is an input error for certify
     assert run(capsys, ["certify", t3_file, "--edges", "0,1"])[0] == 2
+
+
+def test_quantity_overflow_is_input_error(capsys, tmp_path):
+    # two quantities of 9e12 sum past 2**63 - 1 units: exit 2, not a traceback
+    big = "9000000000000"
+    instances = {
+        "path": f"3 2\n0 1 {big} 1\n1 2 {big} 1\n",
+        "unit": f"3 3\n0 1 1 {big}\n1 2 1 {big}\n0 2 1 {big}\n",
+        "graded": f"3 3\n0 1 1 {big}\n1 2 2 {big}\n0 2 3 {big}\n",
+    }
+    for name, text in instances.items():
+        (tmp_path / name).write_text(text)
+    for command, name, *flags in (
+        ("mst", "path"),
+        ("eps-increase", "unit"),
+        ("budget", "unit", "--delta", "1"),
+        ("profit", "graded", "--budget", "1"),
+    ):
+        code, _, err = run(capsys, [command, str(tmp_path / name), *flags])
+        assert code == 2, command
+        assert err.startswith("error: quantity out of range"), err
+        assert len(err.splitlines()) == 1
+
+
+def test_all_names_resolve():
+    for name in mstint.__all__:
+        assert getattr(mstint, name) is not None, name
 
 
 def test_human_output_default(capsys, t3_file):

@@ -59,7 +59,7 @@ def reference_budget(g: Graph, delta: int):
             lambda alive, b: reference_scan(g, alive, weights, b),
         )
 
-    return _finish(g, _doubling(g, delta, run))
+    return _finish(g, _doubling(g, run))
 
 
 def reference_single_cut(g: Graph, budget: int):

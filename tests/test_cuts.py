@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import brute_components, brute_min_st_cut_cost, brute_min_st_cut_sides
-from mstint.cuts import global_min_cut, min_st_cut, mincut_call_count
+from mstint.cuts import global_min_cut, min_st_cut
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
 from mstint.quantities import INFINITY, ZERO, finite
@@ -71,14 +71,6 @@ def test_min_cut_matches_bruteforce_with_inf_edges():
         assert cut.cost == brute_min_st_cut_cost(
             g, 0, g.n_vertices - 1, range(g.n_edges)
         )
-
-
-def test_call_counter():
-    g = gen_random(3, 5, 7, 3, 3)
-    start = mincut_call_count()
-    min_st_cut(g, 0, 1)
-    min_st_cut(g, 0, 2)
-    assert mincut_call_count() - start == 2
 
 
 def test_s_equals_t_rejected(t3):
