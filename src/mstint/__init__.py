@@ -24,6 +24,7 @@ from .quantities import (
     SCALE,
     ExtendedValue,
     GuaranteeError,
+    InputError,
     format_quantity,
     parse_quantity,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "GuaranteeError",
     "InfeasibleError",
     "InfeasibleOracleError",
+    "InputError",
     "InterdictionSolution",
     "NoFiniteCutError",
     "OptimalCutListing",

@@ -33,11 +33,11 @@ from typing import Callable
 from .cuts import CutResult, global_min_cut, min_st_cut
 from .graph import Graph
 from .mst import DisconnectedGraphError, is_connected, partial_cut, profit
-from .quantities import checked_sum, finite, log2_bounds
+from .quantities import InputError, checked_sum, finite, log2_bounds
 from .solution import GreedyRound, GreedyTrace, InterdictionSolution, make_solution
 
 
-class InfeasibleError(ValueError):
+class InfeasibleError(InputError):
     """No affordable solution reaches the target increase."""
 
 
@@ -223,6 +223,8 @@ def _run_greedy(
 
 
 def _global_cut_candidate(g: Graph) -> tuple[int, frozenset[int]] | None:
+    if g.n_vertices < 2:
+        return None
     cut = global_min_cut(g)
     if not cut.cost.is_finite or not cut.edges:
         return None

@@ -2,9 +2,10 @@
 
 Every instance-taking command reads the instance from a file path argument
 or from standard input when the path is `-`.  Exit codes: 0 ok,
-1 guarantee violation, 2 input error.  `protect` exits 0 only with a strict
-rise of the minimum increase cost, found by `eps_increase` itself; an
-optimal cut that no candidate can cover is an input error.
+1 guarantee violation, 2 input error, 3 internal fault.  `protect` exits 0
+only with a strict rise of the minimum increase cost, found by
+`eps_increase` itself; an optimal cut that no candidate can cover is an
+input error.
 """
 from __future__ import annotations
 
@@ -12,57 +13,40 @@ import argparse
 import json
 import sys
 
-from .budget import InfeasibleError, budget_approximate
-from .eps import NoFiniteCutError, eps_increase
+from .budget import budget_approximate
+from .eps import eps_increase
 from .generators import gen_bad_example, gen_random
-from .graph import Graph, ParseError, parse_instance_full, serialize_instance
-from .mst import DisconnectedGraphError, mst
-from .oracle import (
-    InfeasibleOracleError,
-    OracleSizeError,
-    oracle_budget,
-    oracle_eps,
-    oracle_profit,
-)
+from .graph import Graph, parse_instance_full, serialize_instance
+from .mst import mst
+from .oracle import oracle_budget, oracle_eps, oracle_profit
 from .profit import profit_approximate
-from .protection import (
-    CandidateInvariantError,
-    ProtectionInstance,
-    UncoverableCutError,
-    protect,
-)
+from .protection import ProtectionInstance, protect
 from .quantities import (
     GuaranteeError,
-    QuantityOverflowError,
+    InputError,
     QuantityParseError,
     format_quantity,
     parse_quantity,
 )
 from .relaxation import build_cut_sequence, certify
-from .solution import InterdictionSolution, solution_record
+from .solution import solution_record
 
 EXIT_OK = 0
 EXIT_GUARANTEE = 1
 EXIT_INPUT = 2
-
-
-class InputError(Exception):
-    """Anything wrong with arguments, files, or instance contents."""
+EXIT_INTERNAL = 3
 
 
 def _read_instance(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise InputError(str(exc)) from exc
-    try:
-        return parse_instance_full(text)
-    except ParseError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(str(exc)) from exc
+    return parse_instance_full(text)
 
 
 def _parse_amount(token: str, what: str) -> int:
@@ -75,11 +59,13 @@ def _parse_amount(token: str, what: str) -> int:
     return value
 
 
-def _emit_solution(sol: InterdictionSolution, as_json: bool) -> None:
-    record = solution_record(sol)
-    if as_json:
+def _cmd_solve(args) -> int:
+    """Run the command's solver on the instance and print its solution."""
+    g, _ = _read_instance(args.instance)
+    record = solution_record(args.solve(g, args))
+    if args.json:
         print(json.dumps(record, sort_keys=True))
-        return
+        return EXIT_OK
     print("edges:", " ".join(map(str, record["edges"])) or "(none)")
     print("cost:", record["cost"])
     print("profit:", record["profit"])
@@ -92,6 +78,7 @@ def _emit_solution(sol: InterdictionSolution, as_json: bool) -> None:
             "edges",
             ",".join(map(str, cut["edge_indices"])) or "(none)",
         )
+    return EXIT_OK
 
 
 def _cmd_mst(args) -> int:
@@ -109,35 +96,11 @@ def _cmd_mst(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eps(args) -> int:
-    g, _ = _read_instance(args.instance)
-    _emit_solution(eps_increase(g), args.json)
-    return EXIT_OK
-
-
-def _cmd_budget(args) -> int:
-    g, _ = _read_instance(args.instance)
-    delta = _parse_amount(args.delta, "delta")
-    _emit_solution(budget_approximate(g, delta), args.json)
-    return EXIT_OK
-
-
-def _cmd_profit(args) -> int:
-    g, _ = _read_instance(args.instance)
-    budget = _parse_amount(args.budget, "budget")
-    _emit_solution(profit_approximate(g, budget), args.json)
-    return EXIT_OK
-
-
 def _cmd_protect(args) -> int:
     g, candidates = _read_instance(args.instance)
     if not candidates:
         raise InputError("instance has no protect section")
-    try:
-        inst = ProtectionInstance(g, candidates)
-    except CandidateInvariantError as exc:
-        raise InputError(str(exc)) from exc
-    chosen, listing = protect(inst)
+    chosen, listing = protect(ProtectionInstance(g, candidates))
     record = {
         "chosen_candidates": sorted(chosen),
         "build_cost": format_quantity(
@@ -185,26 +148,6 @@ def _cmd_certify(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_GUARANTEE
 
 
-def _cmd_oracle_eps(args) -> int:
-    g, _ = _read_instance(args.instance)
-    _emit_solution(oracle_eps(g), args.json)
-    return EXIT_OK
-
-
-def _cmd_oracle_budget(args) -> int:
-    g, _ = _read_instance(args.instance)
-    delta = _parse_amount(args.delta, "delta")
-    _emit_solution(oracle_budget(g, delta), args.json)
-    return EXIT_OK
-
-
-def _cmd_oracle_profit(args) -> int:
-    g, _ = _read_instance(args.instance)
-    budget = _parse_amount(args.budget, "budget")
-    _emit_solution(oracle_profit(g, budget, finite_only=args.finite_only), args.json)
-    return EXIT_OK
-
-
 def _cmd_gen(args) -> int:
     if args.family == "random":
         g = gen_random(args.seed, args.n, args.m, args.max_weight, args.max_cost)
@@ -229,20 +172,32 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
+    # a solver's name is looked up when it runs, so the function a tracer or
+    # a test has rebound on this module is the one called
     instance_cmd("mst", _cmd_mst, "minimum spanning tree of the instance")
-    instance_cmd("eps-increase", _cmd_eps, "exact minimum-cost strict MST increase")
-    p = instance_cmd("budget", _cmd_budget, "approximate min-cost increase by delta")
+    p = instance_cmd("eps-increase", _cmd_solve, "exact minimum-cost strict MST increase")
+    p.set_defaults(solve=lambda g, a: eps_increase(g))
+    p = instance_cmd("budget", _cmd_solve, "approximate min-cost increase by delta")
+    p.set_defaults(solve=lambda g, a: budget_approximate(g, _parse_amount(a.delta, "delta")))
     p.add_argument("--delta", required=True, help="required MST weight increase")
     p.add_argument("--fast", action="store_true", help="deprecated; ignored")
-    p = instance_cmd("profit", _cmd_profit, "approximate max increase within budget")
+    p = instance_cmd("profit", _cmd_solve, "approximate max increase within budget")
+    p.set_defaults(solve=lambda g, a: profit_approximate(g, _parse_amount(a.budget, "budget")))
     p.add_argument("--budget", required=True, help="hard removal budget")
     instance_cmd("protect", _cmd_protect, "greedy cover of the optimal cuts")
     p = instance_cmd("certify", _cmd_certify, "certify the cut sequence for a solution")
     p.add_argument("--edges", required=True, help="comma-separated removed edge indices")
-    instance_cmd("oracle-eps", _cmd_oracle_eps, "brute-force minimum strict increase")
-    p = instance_cmd("oracle-budget", _cmd_oracle_budget, "brute-force budget optimum")
+    p = instance_cmd("oracle-eps", _cmd_solve, "brute-force minimum strict increase")
+    p.set_defaults(solve=lambda g, a: oracle_eps(g))
+    p = instance_cmd("oracle-budget", _cmd_solve, "brute-force budget optimum")
+    p.set_defaults(solve=lambda g, a: oracle_budget(g, _parse_amount(a.delta, "delta")))
     p.add_argument("--delta", required=True)
-    p = instance_cmd("oracle-profit", _cmd_oracle_profit, "brute-force profit optimum")
+    p = instance_cmd("oracle-profit", _cmd_solve, "brute-force profit optimum")
+    p.set_defaults(
+        solve=lambda g, a: oracle_profit(
+            g, _parse_amount(a.budget, "budget"), finite_only=a.finite_only
+        )
+    )
     p.add_argument("--budget", required=True)
     p.add_argument("--finite-only", action="store_true", help="ignore disconnecting sets")
 
@@ -268,26 +223,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except GuaranteeError as exc:
         print(f"guarantee violated: {exc}", file=sys.stderr)
         return EXIT_GUARANTEE
-    except (
-        ParseError,
-        QuantityParseError,
-        QuantityOverflowError,
-        DisconnectedGraphError,
-        NoFiniteCutError,
-        InfeasibleError,
-        InfeasibleOracleError,
-        UncoverableCutError,
-        OracleSizeError,
-        ValueError,
-    ) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

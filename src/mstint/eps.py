@@ -23,11 +23,11 @@ from .mst import (
     is_connected,
     partial_cut,
 )
-from .quantities import INFINITY, GuaranteeError
+from .quantities import INFINITY, GuaranteeError, InputError
 from .solution import InterdictionSolution, make_solution
 
 
-class NoFiniteCutError(ValueError):
+class NoFiniteCutError(InputError):
     """Every candidate cut costs infinity; no affordable increase exists."""
 
 
@@ -118,7 +118,7 @@ def eps_increase(g: Graph) -> InterdictionSolution:
     class weight.
     """
     if g.n_vertices < 2:
-        raise ValueError("need at least two vertices")
+        raise InputError("need at least two vertices")
     if not is_connected(g):
         raise DisconnectedGraphError("graph is disconnected")
 

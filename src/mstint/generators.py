@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 from .graph import Edge, Graph
-from .quantities import SCALE
+from .quantities import SCALE, InputError
 
 
 def gen_random(
@@ -17,11 +17,11 @@ def gen_random(
     Integer weights in [0, max_weight] and costs in [1, max_cost], scaled.
     """
     if n < 1 or m < n - 1:
-        raise ValueError("need m >= n - 1 for a connected graph")
+        raise InputError("need m >= n - 1 for a connected graph")
     if max_weight < 0 or max_cost < 1:
-        raise ValueError("bad weight/cost ranges")
+        raise InputError("bad weight/cost ranges")
     if n == 1 and m > 0:
-        raise ValueError("single vertex admits no edges")
+        raise InputError("single vertex admits no edges")
     rng = random.Random(seed)
     order = list(range(n))
     rng.shuffle(order)
@@ -61,11 +61,11 @@ def gen_bad_example(heavy_weight: int, removals: int, components: int) -> tuple[
     materialized as removals + 2, which no recommended budget can afford.
     """
     if components < 2:
-        raise ValueError("need at least two path vertices")
+        raise InputError("need at least two path vertices")
     if removals != components - 1:
-        raise ValueError("the path topology requires removals == components - 1")
+        raise InputError("the path topology requires removals == components - 1")
     if heavy_weight <= removals + 1:
-        raise ValueError("heavy weight must exceed removals + 1")
+        raise InputError("heavy weight must exceed removals + 1")
 
     w_heavy = heavy_weight * SCALE
     half = SCALE // 2

@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .quantities import (
+    InputError,
     QuantityParseError,
     check_quantity,
     format_quantity,
@@ -24,7 +25,7 @@ from .quantities import (
 )
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """The instance text does not conform to the format."""
 
 

@@ -5,10 +5,10 @@ from dataclasses import dataclass
 from typing import Collection, Iterable
 
 from .graph import Graph
-from .quantities import INFINITY, ExtendedValue, finite
+from .quantities import INFINITY, ExtendedValue, InputError, finite
 
 
-class DisconnectedGraphError(ValueError):
+class DisconnectedGraphError(InputError):
     """An operation that presumes a connected graph got a disconnected one."""
 
 

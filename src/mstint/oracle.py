@@ -10,13 +10,13 @@ from typing import Collection
 
 from .graph import Graph
 from .mst import DisconnectedGraphError
-from .quantities import INFINITY, ExtendedValue, checked_sum, finite
+from .quantities import INFINITY, ExtendedValue, InputError, checked_sum, finite
 from .solution import InterdictionSolution
 
 MAX_ORACLE_EDGES = 22
 
 
-class OracleSizeError(ValueError):
+class OracleSizeError(InputError):
     """The instance exceeds the brute-force size guard."""
 
 
@@ -140,7 +140,7 @@ def _min_cost_subset(g: Graph, qualifies) -> InterdictionSolution:
     return _solution(g, best[2], best[0], best[3])
 
 
-class InfeasibleOracleError(ValueError):
+class InfeasibleOracleError(InputError):
     """No subset of removable edges reaches the target."""
 
 

@@ -9,14 +9,14 @@ from dataclasses import dataclass
 from .eps import eps_increase
 from .graph import Candidate, Edge, Graph
 from .mst import PartialCutSpec, mst, partial_cut
-from .quantities import GuaranteeError
+from .quantities import GuaranteeError, InputError
 
 
-class UncoverableCutError(ValueError):
+class UncoverableCutError(InputError):
     """Some optimal cut cannot be covered by any candidate edge."""
 
 
-class CandidateInvariantError(ValueError):
+class CandidateInvariantError(InputError):
     """A candidate edge would lower the MST weight when added."""
 
 

@@ -16,11 +16,15 @@ FRACTION_DIGITS = 6
 QUANTITY_MAX = 2**63 - 1
 
 
-class QuantityOverflowError(OverflowError):
+class InputError(ValueError):
+    """Anything wrong with arguments, files, or instance contents."""
+
+
+class QuantityOverflowError(InputError, OverflowError):
     """A quantity computation left the 64-bit range."""
 
 
-class QuantityParseError(ValueError):
+class QuantityParseError(InputError):
     """A decimal token could not be converted to an exact quantity."""
 
 
@@ -59,7 +63,8 @@ def parse_quantity(token: str) -> int:
             whole = "0"
     else:
         whole, frac = text, ""
-    if not whole.isdigit() or (frac and not frac.isdigit()):
+    # isdecimal, not isdigit: int() rejects digits such as '²'
+    if not whole.isdecimal() or (frac and not frac.isdecimal()):
         raise QuantityParseError(f"bad quantity literal: {token!r}")
     if len(frac) > FRACTION_DIGITS:
         raise QuantityParseError(

@@ -19,7 +19,7 @@ from .mst import (
     partial_cut,
     profit,
 )
-from .quantities import ExtendedValue, GuaranteeError, ZERO, checked_sum, log2_bounds
+from .quantities import ExtendedValue, GuaranteeError, InputError, ZERO, checked_sum, log2_bounds
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,9 @@ def build_cc_graph(g: Graph, removed: frozenset[int]) -> CcGraph:
         raise DisconnectedGraphError("graph is disconnected")
     if not mst(g, removed).weight.is_finite:
         raise DisconnectedGraphError("removal set disconnects the graph")
+    for i in sorted(removed):
+        if g.edges[i].cost is None:
+            raise InputError(f"edge {i} has infinite removal cost")
     uf = UnionFind(g.n_vertices)
     for i in tree.edges:
         if i not in removed:

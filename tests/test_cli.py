@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -343,6 +344,138 @@ def test_quantity_overflow_is_input_error(capsys, tmp_path):
         assert code == 2, command
         assert err.startswith("error: quantity out of range"), err
         assert len(err.splitlines()) == 1
+
+
+def test_error_contract_on_tiny_instances(capsys, tmp_path):
+    # every command on every degenerate instance answers or reports bad
+    # input: exit 0 or 2, at most one stderr line, never a traceback
+    instances = {
+        "n1": "1 0\n",
+        "n2": "2 1\n0 1 1 1\n",
+        "n2_inf": "2 1\n0 1 1 inf\n",
+        "unit_triangle": "3 3\n0 1 1 1\n1 2 1 1\n0 2 1 1\n",
+        "inf_triangle": "3 3\n0 1 1 inf\n1 2 1 inf\n0 2 1 inf\n",
+    }
+    commands = (
+        ["mst"],
+        ["eps-increase"],
+        ["budget", "--delta", "1"],
+        ["profit", "--budget", "1"],
+        ["certify", "--edges", "0"],
+        ["certify", "--edges", ","],
+        ["oracle-eps"],
+        ["oracle-budget", "--delta", "1"],
+        ["oracle-profit", "--budget", "1"],
+    )
+    for name, text in instances.items():
+        path = tmp_path / name
+        path.write_text(text)
+        for command, *flags in commands:
+            code, _, err = run(capsys, [command, str(path), *flags])
+            assert code in (0, 2), (name, command, err)
+            assert len(err.splitlines()) <= 1, (name, command, err)
+            assert "Traceback" not in err
+
+
+def test_degenerate_input_messages(capsys, tmp_path):
+    inf_triangle = tmp_path / "inf_triangle"
+    inf_triangle.write_text("3 3\n0 1 1 inf\n1 2 1 inf\n0 2 1 inf\n")
+    single = tmp_path / "n1"
+    single.write_text("1 0\n")
+    for argv, message in (
+        (["certify", str(inf_triangle), "--edges", "0"], "edge 0 has infinite removal cost"),
+        # two removed edges disconnect the triangle, which is reported first
+        (["certify", str(inf_triangle), "--edges", "1,2"], "removal set disconnects the graph"),
+        (["budget", str(single), "--delta", "1"], "target increase is unreachable at finite cost"),
+    ):
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+def test_undecodable_or_non_decimal_input_exits_2(capsys, tmp_path, t3_file):
+    # UnicodeDecodeError and int("²") are ValueErrors, not input errors, so
+    # each must be turned into one before it reaches cli.main
+    undecodable = tmp_path / "undecodable.txt"
+    undecodable.write_bytes(b"2 1\n0 1 \xff 1\n")
+    superscript = tmp_path / "superscript.txt"
+    superscript.write_text("2 1\n0 1 \u00b2 1\n")
+    for argv in (
+        ["mst", str(undecodable)],
+        ["mst", str(superscript)],
+        ["profit", t3_file, "--budget", "\u00b2"],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 2, err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_input_errors_share_one_base():
+    # library callers catch mstint.InputError and mstint.GuaranteeError
+    from mstint.protection import CandidateInvariantError
+    from mstint.quantities import QuantityOverflowError, QuantityParseError
+
+    for cls in (
+        mstint.ParseError,
+        QuantityParseError,
+        QuantityOverflowError,
+        mstint.DisconnectedGraphError,
+        mstint.NoFiniteCutError,
+        mstint.InfeasibleError,
+        mstint.InfeasibleOracleError,
+        mstint.OracleSizeError,
+        mstint.UncoverableCutError,
+        CandidateInvariantError,
+    ):
+        assert issubclass(cls, mstint.InputError), cls
+    assert issubclass(QuantityOverflowError, OverflowError)
+    assert not issubclass(mstint.GuaranteeError, mstint.InputError)
+
+
+def test_internal_fault_exits_3(capsys, monkeypatch, t3_file):
+    # the solver is looked up when the command runs, so the rebound one fails
+    def broken(g, delta):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "budget_approximate", broken)
+    code, out, err = run(capsys, ["budget", t3_file, "--delta", "1"])
+    assert (code, out) == (3, "")
+    assert err == "internal error: KeyError: 'lost'\n"
+
+
+def test_optimized_profit_certify_protect(capsys, tmp_path, t3_file):
+    # the same answers under python -O: no check of these paths is an assert
+    protect_file = tmp_path / "t3p.txt"
+    protect_file.write_text(T3 + "protect 2\n0 1 1 2 4\n1 2 2 3 4\n")
+    for argv in (
+        ["profit", t3_file, "--budget", "1", "--json"],
+        ["certify", t3_file, "--edges", "0", "--json"],
+        ["protect", str(protect_file), "--json"],
+    ):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        proc = _run_optimized("-m", "mstint.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
+def test_profit_large_unit_path(capsys, tmp_path):
+    n = 2000
+    path = tmp_path / "path.txt"
+    path.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1} 1 1\n" for i in range(n - 1)))
+    code, out, _ = run(capsys, ["profit", str(path), "--budget", "1", "--json"])
+    assert code == 0
+    assert Fraction(json.loads(out)["cost"]) <= 1
+
+
+def test_protect_2000_vertex_unit_cycle(capsys, tmp_path):
+    n = 2000
+    path = tmp_path / "cycle.txt"
+    path.write_text(
+        f"{n} {n}\n"
+        + "".join(f"{i} {(i + 1) % n} 1 1\n" for i in range(n))
+        + "protect 1\n0 1 1 1 1\n"
+    )
+    code, out, err = run(capsys, ["protect", str(path), "--json"])
+    assert (code, out) == (2, "")
+    assert "not coverable" in err and len(err.splitlines()) == 1
 
 
 def test_all_names_resolve():

@@ -30,7 +30,9 @@ def test_parse_basic():
     assert parse_quantity(".5") == 500_000
 
 
-@pytest.mark.parametrize("bad", ["", "-1", "+2", "1.2345678", "1e3", "one", "1.2.3"])
+@pytest.mark.parametrize(
+    "bad", ["", "-1", "+2", "1.2345678", "1e3", "one", "1.2.3", "²", "1.²"]
+)
 def test_parse_rejects(bad):
     with pytest.raises(QuantityParseError):
         parse_quantity(bad)
