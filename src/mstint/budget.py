@@ -222,7 +222,8 @@ def _run_greedy(
     return result, trace
 
 
-def _global_cut_candidate(g: Graph) -> tuple[int, frozenset[int]] | None:
+def global_cut_candidate(g: Graph) -> tuple[int, frozenset[int]] | None:
+    """(cost, edges) of a finite, nonempty global min cut, or None."""
     if g.n_vertices < 2:
         return None
     cut = global_min_cut(g)
@@ -249,7 +250,7 @@ def _doubling(g: Graph, run) -> tuple[frozenset[int], GreedyTrace] | None:
 def _finish(
     g: Graph, greedy_result: tuple[frozenset[int], GreedyTrace] | None
 ) -> InterdictionSolution:
-    fallback = _global_cut_candidate(g)
+    fallback = global_cut_candidate(g)
     if greedy_result is not None:
         edges, trace = greedy_result
         cost = checked_sum(g.edges[i].cost for i in edges)

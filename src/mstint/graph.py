@@ -88,6 +88,15 @@ class Graph:
         order = sorted(range(len(edges)), key=lambda i: edges[i].weight)
         return tuple((i, edges[i].u, edges[i].v) for i in order)
 
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """Indices of the edges at each vertex, ascending."""
+        at: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        for i, e in enumerate(self.edges):
+            at[e.u].append(i)
+            at[e.v].append(i)
+        return tuple(map(tuple, at))
+
     def with_edges(self, extra: Iterable[Edge]) -> "Graph":
         return Graph(self.n_vertices, self.edges + tuple(extra))
 

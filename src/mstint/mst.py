@@ -96,13 +96,22 @@ def profit(g: Graph, removed: Collection[int]) -> ExtendedValue:
 
 
 def partial_cut(g: Graph, side: Iterable[int], threshold: int | None) -> PartialCutSpec:
-    """Edges with exactly one endpoint in `side` and weight strictly < W."""
+    """Edges with exactly one endpoint in `side` and weight strictly < W.
+
+    Every crossing edge has one end on each side, so only the edges at the
+    smaller of S and V minus S are scanned.
+    """
     s = frozenset(side)
-    if not s or len(s) >= g.n_vertices:
+    n = g.n_vertices
+    if not s or len(s) >= n or min(s) < 0 or max(s) >= n:
         raise ValueError("cut side must be a nonempty proper vertex subset")
-    edges = frozenset(
+    scan = s if 2 * len(s) <= n else [v for v in range(n) if v not in s]
+    edges, incidence = g.edges, g.incidence
+    crossing = frozenset(
         i
-        for i, e in enumerate(g.edges)
-        if ((e.u in s) != (e.v in s)) and (threshold is None or e.weight < threshold)
+        for v in scan
+        for i in incidence[v]
+        if ((edges[i].u in s) != (edges[i].v in s))
+        and (threshold is None or edges[i].weight < threshold)
     )
-    return PartialCutSpec(s, threshold, edges)
+    return PartialCutSpec(s, threshold, crossing)

@@ -1,7 +1,7 @@
 """Profit maximization under a hard budget: greedy cuts vs best single cut."""
 from __future__ import annotations
 
-from .budget import CutMemo, best_ratio_cut
+from .budget import CutMemo, best_ratio_cut, global_cut_candidate
 from .graph import Graph
 from .mst import DisconnectedGraphError, PartialCutSpec, is_connected, partial_cut, profit
 from .quantities import ExtendedValue, ZERO
@@ -73,11 +73,16 @@ def profit_approximate(g: Graph, budget: int) -> InterdictionSolution:
 
     Never spends more than `budget`; approximates the optimal increase
     within O(log n) when one exists.  Both phases share one `CutMemo`.
+    A global min cut within budget disconnects the graph, an infinite
+    increase no other answer beats, so it is returned at once.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     if not is_connected(g):
         raise DisconnectedGraphError("graph is disconnected")
+    complete = global_cut_candidate(g)
+    if complete is not None and complete[0] <= budget:
+        return make_solution(g, complete[1])
     memo = CutMemo(g, g.distinct_weights())
     single_cut, single_profit = best_single_cut(g, budget, memo)
     greedy_edges, trace = _greedy_within_budget(g, budget, memo)

@@ -92,8 +92,8 @@ def protect(inst: ProtectionInstance) -> tuple[frozenset[int], OptimalCutListing
             raise GuaranteeError("a chosen candidate covers a cut that is still optimal")
         if not covering:
             raise UncoverableCutError(
-                f"cut over side {sorted(cut.side)} (edges {sorted(cut.edges)}) "
-                "is not coverable by any candidate"
+                f"cut of edges {sorted(cut.edges)} over a side of {len(cut.side)} "
+                "vertices is not coverable by any candidate"
             )
         for i in covering:
             coverage[i].add(len(cuts))

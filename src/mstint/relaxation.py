@@ -7,6 +7,7 @@ matching, and profit bounds that make the greedy analysis work.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,12 +15,23 @@ from .graph import Graph
 from .mst import (
     DisconnectedGraphError,
     PartialCutSpec,
+    SpanningForest,
     UnionFind,
     mst,
     partial_cut,
     profit,
 )
-from .quantities import ExtendedValue, GuaranteeError, InputError, ZERO, checked_sum, log2_bounds
+from .quantities import (
+    INFINITY,
+    ZERO,
+    ExtendedValue,
+    GuaranteeError,
+    InputError,
+    check_quantity,
+    checked_sum,
+    finite,
+    log2_bounds,
+)
 
 
 @dataclass(frozen=True)
@@ -133,6 +145,114 @@ def _matching(adjacent: list[list[int]], n_right: int) -> list[int] | None:
     return match_left
 
 
+def cut_profits(
+    g: Graph, tree: SpanningForest, cuts: list[frozenset[int]]
+) -> list[ExtendedValue]:
+    """MST(G minus C) - MST(G) for each edge set C, given T = MST(G).
+
+    T is the unique MST under the (weight, index) order, so MST(G minus C)
+    keeps T minus C and joins its |C & T| + 1 pieces with the lightest
+    non-tree edges outside C, in Kruskal order.
+    """
+    n = g.n_vertices
+    if not tree.weight.is_finite:
+        raise DisconnectedGraphError("graph is disconnected")
+    # root T at vertex 0 and number the vertices in preorder: the subtree
+    # below tree edge i holds the positions below[i] .. end_at[below[i]] - 1
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i in tree.edges:
+        e = g.edges[i]
+        neighbours[e.u].append((e.v, i))
+        neighbours[e.v].append((e.u, i))
+    parent = [-1] * n
+    child = {}
+    preorder = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        for w, i in neighbours[v]:
+            if w != parent[v]:
+                parent[w] = v
+                child[i] = w
+                stack.append(w)
+    first = [0] * n
+    for pos, v in enumerate(preorder):
+        first[v] = pos
+    size = [1] * n
+    for v in reversed(preorder[1:]):
+        size[parent[v]] += size[v]
+    below = {i: first[w] for i, w in child.items()}
+    end_at = [pos + size[v] for pos, v in enumerate(preorder)]
+    # the non-tree edges by rank in Kruskal order, each listed at the
+    # positions of both ends as (rank, other end's position, edge index)
+    weight_at = []
+    around: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for i, u, v in g.kruskal_order:
+        if i not in below:
+            a, b = first[u], first[v]
+            around[a].append((len(weight_at), b, i))
+            around[b].append((len(weight_at), a, i))
+            weight_at.append(g.edges[i].weight)
+
+    base = tree.weight.units
+    profits = []
+    for cut in cuts:
+        in_tree = [i for i in cut if i in below]
+        if not in_tree:
+            profits.append(ZERO)
+            continue
+        # piece 0 holds the root; piece j >= 1 the subtree below the j-th
+        # lost edge, outer subtrees first, minus the lost subtrees inside it
+        start = [0, *sorted(below[i] for i in in_tree)]
+        end = [n, *(end_at[pos] for pos in start[1:])]
+        k = len(in_tree)
+        piece = [0] * n
+        piece_size = [hi - lo for lo, hi in zip(start, end)]
+        inner: list[list[int]] = [[] for _ in range(k + 1)]
+        enclosing = [0]
+        for j in range(1, k + 1):
+            piece[start[j] : end[j]] = [j] * piece_size[j]
+            while end[enclosing[-1]] <= start[j]:
+                enclosing.pop()
+            piece_size[enclosing[-1]] -= end[j] - start[j]
+            inner[enclosing[-1]].append(j)
+            enclosing.append(j)
+        # an edge between two pieces has an end outside the largest piece
+        big = piece_size.index(max(piece_size))
+        spans = [(0, start[big]), (end[big], n)]
+        spans += [(start[j], end[j]) for j in inner[big]]
+        joining = {
+            r: (piece[p], piece[q])
+            for lo, hi in spans
+            for p in range(lo, hi)
+            for r, q, i in around[p]
+            if piece[q] != piece[p] and i not in cut
+        }
+        root = list(range(k + 1))
+        need = k
+        added = 0
+        for r in sorted(joining):
+            a, b = joining[r]
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a != b:
+                root[b] = a
+                added += weight_at[r]
+                need -= 1
+                if not need:
+                    break
+        if need:
+            profits.append(INFINITY)
+        else:
+            lost_weight = sum(g.edges[i].weight for i in in_tree)
+            # the range check mst(g, C) makes of its total
+            profits.append(finite(base + added - lost_weight) - tree.weight)
+    return profits
+
+
 def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertificate:
     cc = build_cc_graph(g, removed)
     t = cc.t
@@ -180,26 +300,24 @@ def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertifica
         members[right] = []
         top[left] = max(top[left], top[right])
 
-    # perfect matching: cut i is matchable to any T&F edge crossing its side
+    # perfect matching: cut i is matchable to any T&F edge crossing its
+    # side.  Each such edge joins two distinct components and is listed
+    # under both, so it crosses a side iff the side's members list it once.
+    ends_at: list[list[int]] = [[] for _ in range(t)]
+    for r, ei in enumerate(tree_removed):
+        ends_at[cc.component_of[g.edges[ei].u]].append(r)
+        ends_at[cc.component_of[g.edges[ei].v]].append(r)
     adjacent = []
     for side_cc in sides_cc:
-        adjacent.append(
-            [
-                r
-                for r, ei in enumerate(tree_removed)
-                if (cc.component_of[g.edges[ei].u] in side_cc)
-                != (cc.component_of[g.edges[ei].v] in side_cc)
-            ]
-        )
+        hits = Counter(r for c in side_cc for r in ends_at[c])
+        adjacent.append(sorted(r for r, k in hits.items() if k == 1))
     matched = _matching(adjacent, len(tree_removed))
     if matched is None:
         raise GuaranteeError("no perfect matching of cuts to removed tree edges")
     matching = tuple(tree_removed[j] for j in matched)
 
-    cost_sum = checked_sum(
-        checked_sum(g.edges[i].cost for i in cut.edges) if cut.edges else 0
-        for cut in cuts
-    )
+    # costs are positive, so a total in range bounds every partial sum
+    cost_sum = check_quantity(sum(g.edges[i].cost for cut in cuts for i in cut.edges))
     profit_lb_sum = sum(
         g.edges[prime_edges[i]].weight - g.edges[matching[i]].weight
         for i in range(t - 1)
@@ -244,14 +362,18 @@ def certify(g: Graph, removed: frozenset[int], cert: RelaxationCertificate) -> d
     else:
         checks["cost_bound"] = cert.cost_sum == 0
 
-    # (d) laminarity of the small sides
+    # (d) laminarity of the small sides.  Visited largest first, a side of
+    # a laminar family lies inside every earlier side it meets, so all its
+    # members were last claimed by the same side (or by none).
     laminar = True
     sides = cert.small_sides_cc
-    for a in range(len(sides)):
-        for b in range(a + 1, len(sides)):
-            inter = sides[a] & sides[b]
-            if inter and not (sides[a] <= sides[b] or sides[b] <= sides[a]):
-                laminar = False
+    owner: dict[int, int] = {}
+    for k in sorted(range(len(sides)), key=lambda k: -len(sides[k])):
+        if len({owner.get(c, -1) for c in sides[k]}) > 1:
+            laminar = False
+            break
+        for c in sides[k]:
+            owner[c] = k
     checks["laminar_sides"] = laminar
 
     # (e) matched weight differences sum exactly to the profit
@@ -262,12 +384,10 @@ def certify(g: Graph, removed: frozenset[int], cert: RelaxationCertificate) -> d
     else:
         checks["matching_profit_identity"] = False
 
-    # (f) total cut profit covers the solution profit; each cut's profit is
-    # MST(G minus C) - MST(G), with MST(G) computed once
-    base = mst(g).weight
+    # (f) total cut profit covers the solution profit
     total = ZERO
-    for cut in cert.cuts:
-        total = total + (mst(g, cut.edges).weight - base)
+    for value in cut_profits(g, mst(g), [cut.edges for cut in cert.cuts]):
+        total = total + value
     checks["profit_cover"] = total >= cert.profit_value
 
     # (g) typical vertices: fresh component per cut, plus one untouched

@@ -166,6 +166,32 @@ def test_certify_large_solution(capsys, tmp_path):
     assert json.loads(proc.stdout) == record
 
 
+def test_certify_5000_vertices(capsys, tmp_path):
+    # about 5000 cuts over a 5000-vertex tree: no recursion, no pair scan
+    g = gen_random(5, 5000, 20000, 1000, 10)
+    path = tmp_path / "huge.txt"
+    path.write_text(serialize_instance(g))
+    removed = ",".join(map(str, sorted(max_tree_complement(g))))
+    code, out, err = run(capsys, ["certify", str(path), "--edges", removed, "--json"])
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["ok"] is True
+    assert record["n_cuts"] > 4500
+
+
+def test_certify_5000_vertex_unit_path(capsys, tmp_path):
+    # T is a path 5000 vertices deep; one heavier edge closes the cycle
+    n = 5000
+    path = tmp_path / "path.txt"
+    path.write_text(
+        f"{n} {n}\n" + "".join(f"{i} {i + 1} 1 1\n" for i in range(n - 1)) + f"0 {n - 1} 2 1\n"
+    )
+    code, out, err = run(capsys, ["certify", str(path), "--edges", str(n // 2), "--json"])
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert (record["ok"], record["n_cuts"], record["profit"]) == (True, 1, "1")
+
+
 def test_stdin_instance(capsys, monkeypatch):
     import io
 
@@ -462,7 +488,19 @@ def test_profit_large_unit_path(capsys, tmp_path):
     path.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1} 1 1\n" for i in range(n - 1)))
     code, out, _ = run(capsys, ["profit", str(path), "--budget", "1", "--json"])
     assert code == 0
-    assert Fraction(json.loads(out)["cost"]) <= 1
+    record = json.loads(out)
+    # any one edge of the path is a global min cut within budget
+    assert (Fraction(record["cost"]), record["profit"]) == (1, "inf")
+    assert len(record["edges"]) == 1
+
+
+def test_profit_takes_an_affordable_complete_cut(capsys, tmp_path):
+    path = tmp_path / "p2.txt"
+    path.write_text("2 1\n0 1 1 1\n")
+    for command in ("profit", "oracle-profit"):
+        code, out, _ = run(capsys, [command, str(path), "--budget", "1", "--json"])
+        assert code == 0
+        assert json.loads(out) == {"cost": "1", "cuts": [], "edges": [0], "profit": "inf"}
 
 
 def test_protect_2000_vertex_unit_cycle(capsys, tmp_path):
@@ -476,6 +514,8 @@ def test_protect_2000_vertex_unit_cycle(capsys, tmp_path):
     code, out, err = run(capsys, ["protect", str(path), "--json"])
     assert (code, out) == (2, "")
     assert "not coverable" in err and len(err.splitlines()) == 1
+    # the cut is named by its edges and its side's size, not every vertex
+    assert len(err) < 200, err
 
 
 def test_all_names_resolve():

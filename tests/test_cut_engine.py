@@ -22,7 +22,7 @@ from mstint.cuts import global_min_cut, min_st_cut
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
 from mstint.mst import partial_cut, profit
-from mstint.profit import best_single_cut, profit_approximate
+from mstint.profit import _greedy_within_budget, best_single_cut, profit_approximate
 from mstint.quantities import ZERO
 from mstint.solution import GreedyRound, GreedyTrace, make_solution
 
@@ -75,9 +75,8 @@ def reference_single_cut(g: Graph, budget: int):
     return best_cut, best_profit
 
 
-def reference_profit(g: Graph, budget: int):
+def reference_greedy(g: Graph, budget: int):
     weights = g.distinct_weights()
-    single_cut, single_profit = reference_single_cut(g, budget)
     alive = set(range(g.n_edges))
     removed: set[int] = set()
     spent = 0
@@ -94,7 +93,16 @@ def reference_profit(g: Graph, budget: int):
                 profit(g, removed),
             )
         )
-    trace = GreedyTrace(tuple(rounds), budget, "no_progress")
+    return frozenset(removed), GreedyTrace(tuple(rounds), budget, "no_progress")
+
+
+def reference_profit(g: Graph, budget: int):
+    # a global min cut within budget is an infinite increase: returned at once
+    cut = global_min_cut(g)
+    if cut.cost.is_finite and cut.cost.units <= budget and cut.edges:
+        return make_solution(g, cut.edges)
+    single_cut, single_profit = reference_single_cut(g, budget)
+    removed, trace = reference_greedy(g, budget)
     greedy_profit = profit(g, removed) if removed else ZERO
     if single_profit >= greedy_profit:
         if single_cut is None:
@@ -144,6 +152,9 @@ def test_engine_matches_reference_scan():
         assert outcome(profit_approximate, g, budget) == outcome(
             reference_profit, g, budget
         ), seed
+        # the greedy itself, also where the global min cut answers first
+        memo = CutMemo(g, g.distinct_weights())
+        assert _greedy_within_budget(g, budget, memo) == reference_greedy(g, budget), seed
 
 
 def test_equal_bound_pair_can_still_win():

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from mstint.generators import gen_random
 from mstint.graph import Edge, Graph, serialize_instance
 from mstint.mst import (
     DisconnectedGraphError,
+    PartialCutSpec,
     SpanningForest,
     UnionFind,
     mst,
@@ -32,6 +34,7 @@ from mstint.relaxation import (
     build_cc_graph,
     build_cut_sequence,
     certify,
+    cut_profits,
 )
 
 mst_module = importlib.import_module("mstint.mst")
@@ -340,6 +343,99 @@ def test_certify_matches_reference():
     assert kinds == {0, 1, 2}
 
 
+def tampered(cert: RelaxationCertificate, n_edges: int, t: int, rng):
+    """One certificate with a side or a cut broken in one of four ways."""
+    sides = list(cert.small_sides_cc)
+    cuts = list(cert.cuts)
+    at = rng.randrange(len(cuts))
+    kind = rng.randrange(4)
+    if kind == 0:  # a random nonempty side
+        sides[at] = frozenset(rng.sample(range(t), rng.randint(1, t)))
+    elif kind == 1:  # a side that overlaps another without nesting
+        other = rng.randrange(len(sides))
+        extra = rng.sample(sorted(sides[other]), rng.randint(1, len(sides[other])))
+        outside = [c for c in range(t) if c not in sides[other]]
+        sides[at] = sides[at] | frozenset(extra) | frozenset(rng.sample(outside, 1))
+    elif kind == 2:  # a cut of random edges, often outside the solution
+        edges = frozenset(i for i in range(n_edges) if rng.random() < 0.2)
+        cuts[at] = PartialCutSpec(cuts[at].side, cuts[at].threshold, edges)
+    else:  # cuts emptied
+        for k in range(len(cuts)):
+            if k == at or rng.random() < 0.7:
+                cuts[k] = PartialCutSpec(cuts[k].side, cuts[k].threshold, frozenset())
+    return dataclasses.replace(cert, small_sides_cc=tuple(sides), cuts=tuple(cuts))
+
+
+def test_certify_matches_reference_on_tampered_certificates():
+    # every check of certify against the pairwise, Kruskal-per-cut
+    # reference, on certificates where the checks must also say False
+    rng = random.Random(0x7A3B)
+    names = ("laminar_sides", "profit_cover", "cuts_within_solution", "typical_vertices")
+    failed = dict.fromkeys(names, 0)
+    checked = 0
+    for seed, g, removed in differential_cases():
+        cert = build_cut_sequence(g, removed)
+        if not cert.cuts:
+            continue
+        t = len(cert.small_sides_cc) + 1
+        for _ in range(4):
+            bad = tampered(cert, g.n_edges, t, rng)
+            report = certify(g, removed, bad)
+            assert report == ref_certify(g, removed, bad), seed
+            for name in failed:
+                failed[name] += not report[name]
+            checked += 1
+    assert checked >= 600
+    assert min(failed.values()) >= 20, failed
+
+
+def test_cut_profits_match_kruskal():
+    rng = random.Random(0x9C1F)
+    disconnecting = 0
+    for seed in range(150):
+        n = 2 + seed % 40
+        m = n - 1 + (seed * 5) % (2 * n + 1)
+        g = gen_random(seed, n, m, (0, 1, 3, 1000)[seed % 4], 5)
+        tree = mst(g)
+        sets = [frozenset(), frozenset(range(g.n_edges)), tree.edges]
+        for _ in range(20):
+            p = rng.choice((0.05, 0.2, 0.5))
+            sets.append(frozenset(i for i in range(g.n_edges) if rng.random() < p))
+        expected = [mst(g, cut).weight - tree.weight for cut in sets]
+        assert cut_profits(g, tree, sets) == expected, seed
+        disconnecting += sum(not value.is_finite for value in expected)
+    assert disconnecting >= 500
+
+
+def ref_partial_cut(g: Graph, side, threshold):
+    return frozenset(
+        i
+        for i, e in enumerate(g.edges)
+        if ((e.u in side) != (e.v in side))
+        and (threshold is None or e.weight < threshold)
+    )
+
+
+def test_partial_cut_matches_full_scan():
+    rng = random.Random(0x51DE)
+    sizes = set()
+    for seed in range(120):
+        n = 2 + seed % 30
+        g = gen_random(seed, n, n - 1 + seed % (2 * n), (0, 1, 3, 1000)[seed % 4], 5)
+        for _ in range(6):
+            side = frozenset(rng.sample(range(n), rng.randint(1, n - 1)))
+            sizes.add(2 * len(side) <= n)
+            weights = sorted({e.weight for e in g.edges}) + [10**6]
+            for threshold in (None, 0, *rng.sample(weights, 2)):
+                expected = ref_partial_cut(g, side, threshold)
+                assert partial_cut(g, side, threshold) == PartialCutSpec(side, threshold, expected)
+    assert sizes == {True, False}
+    g = gen_random(1, 5, 8, 3, 5)
+    for side in (set(), set(range(5)), {0, 5}, {-1, 2}):
+        with pytest.raises(ValueError):
+            partial_cut(g, side, None)
+
+
 def test_mst_matches_reference():
     rng = random.Random(0x4D57)
     graphs = [Graph(1, ())]
@@ -435,9 +531,10 @@ def test_certify_work_counts(monkeypatch, tmp_path):
         t = len(build_cut_sequence(g, frozenset(removed)).small_sides_cc) + 1
         assert t > 20
         counts = certify_run_counts(monkeypatch, tmp_path, g, removed)
-        # one Kruskal per cut, plus five: MST(G) and MST(G minus F) for the
-        # components, the two of profit(F), and MST(G) once for check (f)
-        assert counts["mst"] == (t - 1) + 5
+        # five, whatever t: MST(G) and MST(G minus F) for the components,
+        # the two of profit(F), and MST(G) once for check (f), which prices
+        # every cut from the pieces of T minus C with no Kruskal of its own
+        assert counts["mst"] == 5
         # the components of T minus F and the components graph's MST; the
         # cut sequence itself builds none
         assert counts["union_find"] <= 2
