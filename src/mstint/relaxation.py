@@ -157,24 +157,22 @@ def cut_profits(
     n = g.n_vertices
     if not tree.weight.is_finite:
         raise DisconnectedGraphError("graph is disconnected")
-    # root T at vertex 0 and number the vertices in preorder: the subtree
-    # below tree edge i holds the positions below[i] .. end_at[below[i]] - 1
-    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # root T at vertex 0; a vertex's subtree holds the preorder positions
+    # first[v] .. first[v] + size[v] - 1
+    neighbours: list[list[int]] = [[] for _ in range(n)]
     for i in tree.edges:
         e = g.edges[i]
-        neighbours[e.u].append((e.v, i))
-        neighbours[e.v].append((e.u, i))
+        neighbours[e.u].append(e.v)
+        neighbours[e.v].append(e.u)
     parent = [-1] * n
-    child = {}
     preorder = []
     stack = [0]
     while stack:
         v = stack.pop()
         preorder.append(v)
-        for w, i in neighbours[v]:
+        for w in neighbours[v]:
             if w != parent[v]:
                 parent[w] = v
-                child[i] = w
                 stack.append(w)
     first = [0] * n
     for pos, v in enumerate(preorder):
@@ -182,65 +180,43 @@ def cut_profits(
     size = [1] * n
     for v in reversed(preorder[1:]):
         size[parent[v]] += size[v]
-    below = {i: first[w] for i, w in child.items()}
-    end_at = [pos + size[v] for pos, v in enumerate(preorder)]
-    # the non-tree edges by rank in Kruskal order, each listed at the
-    # positions of both ends as (rank, other end's position, edge index)
-    weight_at = []
-    around: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for i, u, v in g.kruskal_order:
-        if i not in below:
-            a, b = first[u], first[v]
-            around[a].append((len(weight_at), b, i))
-            around[b].append((len(weight_at), a, i))
-            weight_at.append(g.edges[i].weight)
+    lower = {}  # tree edge -> its endpoint farther from the root
+    for i in tree.edges:
+        e = g.edges[i]
+        lower[i] = e.u if parent[e.u] == e.v else e.v
+    # the non-tree edges in Kruskal order, by the positions of their ends
+    joins = [
+        (i, first[u], first[v], g.edges[i].weight)
+        for i, u, v in g.kruskal_order
+        if i not in lower
+    ]
 
     base = tree.weight.units
     profits = []
     for cut in cuts:
-        in_tree = [i for i in cut if i in below]
+        in_tree = [i for i in cut if i in lower]
         if not in_tree:
             profits.append(ZERO)
             continue
-        # piece 0 holds the root; piece j >= 1 the subtree below the j-th
-        # lost edge, outer subtrees first, minus the lost subtrees inside it
-        start = [0, *sorted(below[i] for i in in_tree)]
-        end = [n, *(end_at[pos] for pos in start[1:])]
-        k = len(in_tree)
+        lost = sorted((lower[i] for i in in_tree), key=first.__getitem__)
+        # label the pieces by preorder position, outer subtrees first
         piece = [0] * n
-        piece_size = [hi - lo for lo, hi in zip(start, end)]
-        inner: list[list[int]] = [[] for _ in range(k + 1)]
-        enclosing = [0]
-        for j in range(1, k + 1):
-            piece[start[j] : end[j]] = [j] * piece_size[j]
-            while end[enclosing[-1]] <= start[j]:
-                enclosing.pop()
-            piece_size[enclosing[-1]] -= end[j] - start[j]
-            inner[enclosing[-1]].append(j)
-            enclosing.append(j)
-        # an edge between two pieces has an end outside the largest piece
-        big = piece_size.index(max(piece_size))
-        spans = [(0, start[big]), (end[big], n)]
-        spans += [(start[j], end[j]) for j in inner[big]]
-        joining = {
-            r: (piece[p], piece[q])
-            for lo, hi in spans
-            for p in range(lo, hi)
-            for r, q, i in around[p]
-            if piece[q] != piece[p] and i not in cut
-        }
-        root = list(range(k + 1))
-        need = k
+        for label, v in enumerate(lost, 1):
+            piece[first[v] : first[v] + size[v]] = [label] * size[v]
+        root = list(range(len(lost) + 1))
+        need = len(lost)
         added = 0
-        for r in sorted(joining):
-            a, b = joining[r]
+        for i, a, b, weight in joins:
+            a, b = piece[a], piece[b]
+            if a == b or i in cut:
+                continue
             while root[a] != a:
                 root[a] = a = root[root[a]]
             while root[b] != b:
                 root[b] = b = root[root[b]]
             if a != b:
                 root[b] = a
-                added += weight_at[r]
+                added += weight
                 need -= 1
                 if not need:
                     break
