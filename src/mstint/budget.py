@@ -19,8 +19,10 @@ max-flows without changing any answer:
   the bound can still beat the best cut found so far; the order of `_better`
   is total, so the best cut is the same as that of a scan over every pair.
 
-`budget_approximate` is the paper's algorithm: a ratio greedy at each budget
-guess of a doubling search, with the global min cut as the fallback.
+`_run_greedy` is the one ratio-greedy loop of the package; budget and profit
+differ only in when it stops.  `budget_approximate` is the paper's
+algorithm: the greedy runs to the target increase at each budget guess of a
+doubling search, with the global min cut as the fallback.
 """
 from __future__ import annotations
 
@@ -76,10 +78,10 @@ class CutMemo:
     other set asked for.  Nothing outlives the memo.
     """
 
-    def __init__(self, g: Graph, weights: list[int]):
+    def __init__(self, g: Graph):
         self.g = g
-        self.weights = weights
-        self._by_weight = sorted(range(g.n_edges), key=lambda i: g.edges[i].weight)
+        self.weights = g.distinct_weights()
+        self._by_weight = [i for i, _, _ in g.kruskal_order]
         self._sorted_weights = [g.edges[i].weight for i in self._by_weight]
         # W -> (participating set, its table): the input graph's set and the
         # latest other one
@@ -179,47 +181,34 @@ def _relaxed_budget_cap(n: int, budget: int) -> Fraction:
 
 
 def _run_greedy(
-    g: Graph, budget: int, delta: int, scan
+    g: Graph, budget: int, delta: int | None, scan
 ) -> tuple[frozenset[int], GreedyTrace]:
-    """One ratio-greedy run at a fixed budget guess; `scan(alive, budget)`
-    gives each round's cut.  The removal set comes back empty unless the
-    run reaches `delta`."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    """The ratio greedy of budget and profit: `scan(alive, spent)` gives each
+    round's cut.  With a target `delta` the run stops once the increase
+    reaches it or the relaxed cap on `budget` is spent; with None it runs
+    until no cut is left."""
     alive = set(range(g.n_edges))
     removed: set[int] = set()
     spent = 0
-    current = finite(0)
     rounds: list[GreedyRound] = []
+    # profit's scan keeps spent <= budget < (1 + 2*log2 n) * budget (n >= 2;
+    # one vertex has no cut), so the cap only ever stops a budget guess
     cap = _relaxed_budget_cap(g.n_vertices, budget)
     outcome = "no_progress"
-    while True:
-        best = scan(alive, budget)
-        if best is not None:
-            alive -= best.cut_edges
-            removed |= best.cut_edges
-            spent += best.cost
-            current = profit(g, removed)
-            rounds.append(
-                GreedyRound(
-                    partial_cut(g, best.side, best.threshold),
-                    best.ratio,
-                    spent,
-                    current,
-                )
-            )
-        if current >= finite(delta):
+    while (best := scan(alive, spent)) is not None:
+        alive -= best.cut_edges
+        removed |= best.cut_edges
+        spent += best.cost
+        current = profit(g, removed)
+        cut = partial_cut(g, best.side, best.threshold)
+        rounds.append(GreedyRound(cut, best.ratio, spent, current))
+        if delta is not None and current >= finite(delta):
             outcome = "reached_delta"
-            break
-        if best is None:
-            outcome = "no_progress"
             break
         if not Fraction(spent) < cap:
             outcome = "budget_exhausted"
             break
-    trace = GreedyTrace(tuple(rounds), budget, outcome)
-    result = frozenset(removed) if outcome == "reached_delta" else frozenset()
-    return result, trace
+    return frozenset(removed), GreedyTrace(tuple(rounds), budget, outcome)
 
 
 def global_cut_candidate(g: Graph) -> tuple[int, frozenset[int]] | None:
@@ -240,7 +229,7 @@ def _doubling(g: Graph, run) -> tuple[frozenset[int], GreedyTrace] | None:
     total = checked_sum(finite_costs)
     while True:
         edges, trace = run(budget)
-        if edges:
+        if trace.outcome == "reached_delta":
             return edges, trace
         if budget >= total:
             return None
@@ -269,11 +258,11 @@ def budget_approximate(g: Graph, delta: int) -> InterdictionSolution:
         raise ValueError("delta must be positive")
     if not is_connected(g):
         raise DisconnectedGraphError("graph is disconnected")
-    memo = CutMemo(g, g.distinct_weights())
+    memo = CutMemo(g)
 
     def run(budget: int):
         return _run_greedy(
-            g, budget, delta, lambda alive, b: best_ratio_cut(memo, alive, b)
+            g, budget, delta, lambda alive, _spent: best_ratio_cut(memo, alive, budget)
         )
 
     return _finish(g, _doubling(g, run))

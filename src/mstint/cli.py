@@ -96,6 +96,15 @@ def _cmd_mst(args) -> int:
     return EXIT_OK
 
 
+def _print_record(record: dict, as_json: bool) -> None:
+    """One JSON line, or one `key: value` line per key in sorted order."""
+    if as_json:
+        print(json.dumps(record, sort_keys=True))
+    else:
+        for key in sorted(record):
+            print(f"{key}:", record[key])
+
+
 def _cmd_protect(args) -> int:
     g, candidates = _read_instance(args.instance)
     if not candidates:
@@ -112,11 +121,7 @@ def _cmd_protect(args) -> int:
         "listing_complete": True,
         "n_cuts": len(listing.cuts),
     }
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for key in sorted(record):
-            print(f"{key}:", record[key])
+    _print_record(record, args.json)
     return EXIT_OK
 
 
@@ -140,11 +145,7 @@ def _cmd_certify(args) -> int:
     record["cost_sum"] = format_quantity(cert.cost_sum)
     record["profit"] = str(cert.profit_value)
     record["n_cuts"] = len(cert.cuts)
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for key in sorted(record):
-            print(f"{key}:", record[key])
+    _print_record(record, args.json)
     return EXIT_OK if report["ok"] else EXIT_GUARANTEE
 
 

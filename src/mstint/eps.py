@@ -79,10 +79,10 @@ def class_components(g: Graph) -> Iterator[ContractedInstance]:
     """Every auxiliary component, by ascending weight class.
 
     Within a class, components come in order of their lowest edge index.
-    One union-find grows class by class, so the whole sweep costs one sort
-    plus near-linear work per class.
+    One union-find grows class by class over `g.kruskal_order`, so the whole
+    sweep costs near-linear work per class.
     """
-    order = sorted(range(g.n_edges), key=lambda i: (g.edges[i].weight, i))
+    order = [i for i, _, _ in g.kruskal_order]
     batches = [list(b) for _, b in groupby(order, key=lambda i: g.edges[i].weight)]
     uf = UnionFind(g.n_vertices)
     members = {v: [v] for v in range(g.n_vertices)}

@@ -1,11 +1,13 @@
-"""Profit maximization under a hard budget: greedy cuts vs best single cut."""
+"""Profit maximization under a hard budget: the better of the best single
+cut and budget's `_run_greedy` run with no target increase, each round's cut
+fitting in what is left of the budget, until no cut does."""
 from __future__ import annotations
 
-from .budget import CutMemo, best_ratio_cut, global_cut_candidate
+from .budget import CutMemo, _run_greedy, best_ratio_cut, global_cut_candidate
 from .graph import Graph
 from .mst import DisconnectedGraphError, PartialCutSpec, is_connected, partial_cut, profit
 from .quantities import ExtendedValue, ZERO
-from .solution import GreedyRound, GreedyTrace, InterdictionSolution, make_solution
+from .solution import InterdictionSolution, make_solution
 
 
 def best_single_cut(
@@ -20,7 +22,7 @@ def best_single_cut(
     if not is_connected(g):
         raise DisconnectedGraphError("graph is disconnected")
     if memo is None:
-        memo = CutMemo(g, g.distinct_weights())
+        memo = CutMemo(g)
     cuts_at = {w_threshold: memo.cuts_at(w_threshold, None) for w_threshold in memo.weights}
     best_cut: PartialCutSpec | None = None
     best_profit = ZERO
@@ -42,32 +44,6 @@ def best_single_cut(
     return best_cut, best_profit
 
 
-def _greedy_within_budget(
-    g: Graph, budget: int, memo: CutMemo
-) -> tuple[frozenset[int], GreedyTrace]:
-    alive = set(range(g.n_edges))
-    removed: set[int] = set()
-    spent = 0
-    rounds: list[GreedyRound] = []
-    while True:
-        # hard budget: the cut must fit in the remaining allowance
-        best = best_ratio_cut(memo, alive, budget - spent)
-        if best is None:
-            break
-        alive -= best.cut_edges
-        removed |= best.cut_edges
-        spent += best.cost
-        rounds.append(
-            GreedyRound(
-                partial_cut(g, best.side, best.threshold),
-                best.ratio,
-                spent,
-                profit(g, removed),
-            )
-        )
-    return frozenset(removed), GreedyTrace(tuple(rounds), budget, "no_progress")
-
-
 def profit_approximate(g: Graph, budget: int) -> InterdictionSolution:
     """Best of the within-budget ratio greedy and the best single cut.
 
@@ -83,10 +59,13 @@ def profit_approximate(g: Graph, budget: int) -> InterdictionSolution:
     complete = global_cut_candidate(g)
     if complete is not None and complete[0] <= budget:
         return make_solution(g, complete[1])
-    memo = CutMemo(g, g.distinct_weights())
+    memo = CutMemo(g)
     single_cut, single_profit = best_single_cut(g, budget, memo)
-    greedy_edges, trace = _greedy_within_budget(g, budget, memo)
-    greedy_profit = profit(g, greedy_edges) if greedy_edges else ZERO
+    # the hard budget: each round's cut must fit in what is left of it
+    greedy_edges, trace = _run_greedy(
+        g, budget, None, lambda alive, spent: best_ratio_cut(memo, alive, budget - spent)
+    )
+    greedy_profit = trace.rounds[-1].cumulative_profit if trace.rounds else ZERO
     if single_profit >= greedy_profit:
         if single_cut is None:
             return make_solution(g, frozenset(), trace=trace)

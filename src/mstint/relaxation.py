@@ -19,7 +19,6 @@ from .mst import (
     UnionFind,
     mst,
     partial_cut,
-    profit,
 )
 from .quantities import (
     INFINITY,
@@ -36,10 +35,9 @@ from .quantities import (
 
 @dataclass(frozen=True)
 class CcGraph:
-    """Components of T minus F, with the surviving inter-component edges."""
+    """The components of T minus F."""
 
     components: tuple[frozenset[int], ...]
-    edges: tuple[int, ...]  # original edge indices between distinct components
     component_of: tuple[int, ...]  # vertex -> component index
     tree_removed: tuple[int, ...]  # edges of T in F, ascending index
 
@@ -61,15 +59,8 @@ class RelaxationCertificate:
     solution_cost: int  # c(F)
 
 
-def build_cc_graph(g: Graph, removed: frozenset[int]) -> CcGraph:
-    tree = mst(g)
-    if not tree.weight.is_finite:
-        raise DisconnectedGraphError("graph is disconnected")
-    if not mst(g, removed).weight.is_finite:
-        raise DisconnectedGraphError("removal set disconnects the graph")
-    for i in sorted(removed):
-        if g.edges[i].cost is None:
-            raise InputError(f"edge {i} has infinite removal cost")
+def build_cc_graph(g: Graph, tree: SpanningForest, removed: frozenset[int]) -> CcGraph:
+    """The components of T minus F, for T = `tree` and F = `removed`."""
     uf = UnionFind(g.n_vertices)
     for i in tree.edges:
         if i not in removed:
@@ -80,29 +71,11 @@ def build_cc_graph(g: Graph, removed: frozenset[int]) -> CcGraph:
     members: list[list[int]] = [[] for _ in relabel]
     for v, c in enumerate(component_of):
         members[c].append(v)
-    cc_edges = tuple(
-        i
-        for i, e in enumerate(g.edges)
-        if i not in removed and component_of[e.u] != component_of[e.v]
-    )
     return CcGraph(
         tuple(map(frozenset, members)),
-        cc_edges,
         component_of,
         tuple(sorted(tree.edges & removed)),
     )
-
-
-def _cc_mst_edges(g: Graph, cc: CcGraph) -> list[int]:
-    """MST of the components graph; returns original edge indices sorted
-    non-decreasingly by (weight, original index)."""
-    between = frozenset(cc.edges)
-    uf = UnionFind(cc.t)
-    chosen = []
-    for i, u, v in g.kruskal_order:
-        if i in between and uf.union(cc.component_of[u], cc.component_of[v]):
-            chosen.append(i)
-    return chosen
 
 
 def _matching(adjacent: list[list[int]], n_right: int) -> list[int] | None:
@@ -230,15 +203,26 @@ def cut_profits(
 
 
 def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertificate:
-    cc = build_cc_graph(g, removed)
+    tree = mst(g)
+    if not tree.weight.is_finite:
+        raise DisconnectedGraphError("graph is disconnected")
+    after = mst(g, removed)
+    if not after.weight.is_finite:
+        raise DisconnectedGraphError("removal set disconnects the graph")
+    for i in sorted(removed):
+        if g.edges[i].cost is None:
+            raise InputError(f"edge {i} has infinite removal cost")
+    cc = build_cc_graph(g, tree, removed)
     t = cc.t
     tree_removed = cc.tree_removed
-    if len(tree_removed) != t - 1:
-        raise GuaranteeError(
-            f"T minus F has {t} components but F holds {len(tree_removed)} tree edges"
-        )
 
-    prime_edges = _cc_mst_edges(g, cc)
+    # T is the unique MST under the (weight, index) order, so MST(G minus F)
+    # keeps T minus F; its other edges, in Kruskal order, are the MST of the
+    # components graph, and there are t - 1 of them iff F holds t - 1 edges
+    # of T
+    if not tree.edges - removed <= after.edges:
+        raise GuaranteeError("MST(G minus F) does not keep T minus F")
+    prime_edges = sorted(after.edges - tree.edges, key=lambda i: (g.edges[i].weight, i))
     if len(prime_edges) != t - 1:
         raise GuaranteeError(
             f"the components graph's MST has {len(prime_edges)} edges, not {t - 1}"
@@ -306,7 +290,7 @@ def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertifica
         matching=matching,
         cost_sum=cost_sum,
         profit_lb_sum=profit_lb_sum,
-        profit_value=profit(g, removed),
+        profit_value=after.weight - tree.weight,
         solution_cost=checked_sum(g.edges[i].cost for i in removed),
     )
 

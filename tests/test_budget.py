@@ -5,6 +5,8 @@ import pytest
 from mstint.budget import (
     CutMemo,
     InfeasibleError,
+    _doubling,
+    _relaxed_budget_cap,
     _run_greedy,
     best_ratio_cut,
     budget_approximate,
@@ -12,7 +14,7 @@ from mstint.budget import (
 )
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
-from mstint.mst import profit
+from mstint.mst import mst, profit
 from mstint.oracle import oracle_budget
 from mstint.quantities import INFINITY, finite, log2_bounds
 
@@ -20,8 +22,10 @@ SCALE = 1_000_000
 
 
 def _greedy_at(g, budget, delta):
-    memo = CutMemo(g, g.distinct_weights())
-    return _run_greedy(g, budget, delta, lambda alive, b: best_ratio_cut(memo, alive, b))
+    memo = CutMemo(g)
+    return _run_greedy(
+        g, budget, delta, lambda alive, _spent: best_ratio_cut(memo, alive, budget)
+    )
 
 
 def test_greedy_trace_first_round_ratio(t3):
@@ -39,6 +43,33 @@ def test_greedy_empty_is_in_band_failure(t3):
     assert edges == frozenset()
     assert trace.rounds == ()
     assert trace.outcome == "no_progress"
+
+
+def test_exhausted_guess_returns_its_partial_set_and_doubles():
+    # at a guess of one unit the greedy spends its relaxed cap in eight
+    # unit cuts and stops short of delta = w(T); the next guess reaches it
+    g = gen_random(54, 10, 24, 20, 1)
+    delta = mst(g).weight.units
+    memo = CutMemo(g)
+    runs = []
+
+    def run(budget):
+        runs.append(
+            _run_greedy(
+                g, budget, delta, lambda alive, _spent: best_ratio_cut(memo, alive, budget)
+            )
+        )
+        return runs[-1]
+
+    result = _doubling(g, run)
+    (partial, first), (edges, second) = runs
+    assert (first.budget_guess, first.outcome) == (SCALE, "budget_exhausted")
+    assert len(first.rounds) == 8
+    assert partial == frozenset().union(*(r.cut.edges for r in first.rounds))
+    assert first.rounds[-1].cumulative_cost >= _relaxed_budget_cap(g.n_vertices, SCALE)
+    assert profit(g, partial) < finite(delta)
+    assert (second.budget_guess, second.outcome) == (2 * SCALE, "reached_delta")
+    assert result == (edges, second)
 
 
 def test_budget_approximate_t3(t3):

@@ -13,6 +13,7 @@ from mstint.cli import main
 from mstint.cuts import CutResult
 from mstint.generators import gen_random
 from mstint.graph import serialize_instance
+from mstint.mst import SpanningForest
 
 T3 = "3 3\n0 1 1 1\n1 2 2 1\n0 2 3 1\n"
 P2 = "2 1\n0 1 5 3\n"
@@ -128,10 +129,17 @@ def test_min_cut_duality_mismatch_exits_1(capsys, monkeypatch, t3_file):
 
 
 def test_certify_broken_certificate_exits_1(capsys, monkeypatch, t3_file):
-    # a components-graph MST one edge short cannot give t - 1 cuts; the
-    # check is explicit code, so python -O keeps it
-    real = relaxation._cc_mst_edges
-    monkeypatch.setattr(relaxation, "_cc_mst_edges", lambda g, cc: real(g, cc)[:-1])
+    # an MST(G minus F) that loses its edge outside T leaves the components
+    # graph's MST one edge short, which cannot give t - 1 cuts; the check
+    # is explicit code, so python -O keeps it
+    real = relaxation.mst
+    monkeypatch.setattr(
+        relaxation,
+        "mst",
+        lambda g, exclude=(): SpanningForest(
+            real(g, exclude).edges & real(g).edges, real(g, exclude).weight
+        ),
+    )
     code, _, err = run(capsys, ["certify", t3_file, "--edges", "0"])
     assert code == 1
     assert err.startswith("guarantee violated:")
@@ -140,8 +148,10 @@ def test_certify_broken_certificate_exits_1(capsys, monkeypatch, t3_file):
         "import sys\n"
         "from mstint import relaxation\n"
         "from mstint.cli import main\n"
-        "real = relaxation._cc_mst_edges\n"
-        "relaxation._cc_mst_edges = lambda g, cc: real(g, cc)[:-1]\n"
+        "from mstint.mst import SpanningForest\n"
+        "real = relaxation.mst\n"
+        "relaxation.mst = lambda g, exclude=(): SpanningForest(\n"
+        "    real(g, exclude).edges & real(g).edges, real(g, exclude).weight)\n"
         f"sys.exit(main(['certify', {t3_file!r}, '--edges', '0']))\n",
     )
     assert proc.returncode == 1, proc.stderr

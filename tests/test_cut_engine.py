@@ -22,7 +22,7 @@ from mstint.cuts import global_min_cut, min_st_cut
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
 from mstint.mst import partial_cut, profit
-from mstint.profit import _greedy_within_budget, best_single_cut, profit_approximate
+from mstint.profit import best_single_cut, profit_approximate
 from mstint.quantities import ZERO
 from mstint.solution import GreedyRound, GreedyTrace, make_solution
 
@@ -56,7 +56,7 @@ def reference_budget(g: Graph, delta: int):
             g,
             budget,
             delta,
-            lambda alive, b: reference_scan(g, alive, weights, b),
+            lambda alive, _spent: reference_scan(g, alive, weights, budget),
         )
 
     return _finish(g, _doubling(g, run))
@@ -153,8 +153,11 @@ def test_engine_matches_reference_scan():
             reference_profit, g, budget
         ), seed
         # the greedy itself, also where the global min cut answers first
-        memo = CutMemo(g, g.distinct_weights())
-        assert _greedy_within_budget(g, budget, memo) == reference_greedy(g, budget), seed
+        memo = CutMemo(g)
+        greedy = _run_greedy(
+            g, budget, None, lambda alive, spent: best_ratio_cut(memo, alive, budget - spent)
+        )
+        assert greedy == reference_greedy(g, budget), seed
 
 
 def test_equal_bound_pair_can_still_win():
@@ -172,6 +175,6 @@ def test_equal_bound_pair_can_still_win():
     )
     weights = g.distinct_weights()
     alive = set(range(g.n_edges))
-    best = best_ratio_cut(CutMemo(g, weights), alive, 10)
+    best = best_ratio_cut(CutMemo(g), alive, 10)
     assert (best.edge, best.threshold, best.cost) == (2, 4, 1)
     assert best == reference_scan(g, alive, weights, 10)

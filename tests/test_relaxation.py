@@ -41,14 +41,14 @@ mst_module = importlib.import_module("mstint.mst")
 
 
 def test_cc_graph_t3_single_removal(t3):
-    cc = build_cc_graph(t3, frozenset({0}))
+    cc = build_cc_graph(t3, mst(t3), frozenset({0}))
     assert cc.components == (frozenset({0}), frozenset({1, 2}))
     assert cc.t == 2
-    assert cc.edges == (2,)  # only e2 survives between components
+    assert cc.tree_removed == (0,)
 
 
 def test_cc_graph_t3_empty_removal(t3):
-    cc = build_cc_graph(t3, frozenset())
+    cc = build_cc_graph(t3, mst(t3), frozenset())
     assert cc.t == 1
     cert = build_cut_sequence(t3, frozenset())
     assert cert.cuts == ()
@@ -65,13 +65,13 @@ def test_cc_graph_path_middle_edge():
             Edge(0, 3, 2_000_000, 1_000_000),
         ),
     )
-    cc = build_cc_graph(g, frozenset({1}))
+    cc = build_cc_graph(g, mst(g), frozenset({1}))
     assert set(cc.components) == {frozenset({0, 1}), frozenset({2, 3})}
 
 
 def test_cc_graph_rejects_disconnecting_removal(t3):
     with pytest.raises(DisconnectedGraphError):
-        build_cc_graph(t3, frozenset({0, 1}))
+        build_cut_sequence(t3, frozenset({0, 1}))
 
 
 def test_t3_certificate_hand_values(t3):
@@ -173,7 +173,8 @@ def ref_profit(g: Graph, removed):
     return ref_mst(g, removed).weight - base.weight
 
 
-def ref_cc_graph(g: Graph, removed: frozenset[int]) -> CcGraph:
+def ref_cc_graph(g: Graph, removed: frozenset[int]) -> tuple[CcGraph, tuple[int, ...]]:
+    """The components of T minus F and the edges of G minus F between them."""
     tree = ref_mst(g)
     assert tree.weight.is_finite and ref_mst(g, removed).weight.is_finite
     uf = UnionFind(g.n_vertices)
@@ -192,7 +193,7 @@ def ref_cc_graph(g: Graph, removed: frozenset[int]) -> CcGraph:
         for i, e in enumerate(g.edges)
         if i not in removed and component_of[e.u] != component_of[e.v]
     )
-    return CcGraph(components, cc_edges, component_of, tuple(sorted(tree.edges & removed)))
+    return CcGraph(components, component_of, tuple(sorted(tree.edges & removed))), cc_edges
 
 
 def ref_matching(adjacent, n_right):
@@ -217,11 +218,11 @@ def ref_matching(adjacent, n_right):
 
 
 def ref_build(g: Graph, removed: frozenset[int]) -> RelaxationCertificate:
-    cc = ref_cc_graph(g, removed)
+    cc, cc_edges = ref_cc_graph(g, removed)
     t = cc.t
     tree_removed = sorted(ref_mst(g).edges & removed)
     assert len(tree_removed) == t - 1
-    order = sorted(cc.edges, key=lambda i: (g.edges[i].weight, i))
+    order = sorted(cc_edges, key=lambda i: (g.edges[i].weight, i))
     uf = UnionFind(t)
     prime_edges = [
         i
@@ -531,11 +532,11 @@ def test_certify_work_counts(monkeypatch, tmp_path):
         t = len(build_cut_sequence(g, frozenset(removed)).small_sides_cc) + 1
         assert t > 20
         counts = certify_run_counts(monkeypatch, tmp_path, g, removed)
-        # five, whatever t: MST(G) and MST(G minus F) for the components,
-        # the two of profit(F), and MST(G) once for check (f), which prices
-        # every cut from the pieces of T minus C with no Kruskal of its own
-        assert counts["mst"] == 5
-        # the components of T minus F and the components graph's MST; the
-        # cut sequence itself builds none
-        assert counts["union_find"] <= 2
+        # three, whatever t: T = MST(G) and T' = MST(G minus F), which give
+        # the components, the prime edges T' minus T and the profit, and
+        # MST(G) once for check (f), which prices every cut from the pieces
+        # of T minus C with no Kruskal of its own
+        assert counts["mst"] == 3
+        # the components of T minus F; the cut sequence itself builds none
+        assert counts["union_find"] <= 1
         assert counts["kruskal_order"] == 1
