@@ -20,9 +20,10 @@ max-flows without changing any answer:
   is total, so the best cut is the same as that of a scan over every pair.
 
 `_run_greedy` is the one ratio-greedy loop of the package; budget and profit
-differ only in when it stops.  `budget_approximate` is the paper's
-algorithm: the greedy runs to the target increase at each budget guess of a
-doubling search, with the global min cut as the fallback.
+differ only in when it stops.  Each run prices its rounds through one
+`mst.TreePricer`.  `budget_approximate` is the paper's algorithm: the greedy
+runs to the target increase at each budget guess of a doubling search, with
+the global min cut as the fallback.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from typing import Callable
 
 from .cuts import CutResult, global_min_cut, min_st_cut
 from .graph import Graph
-from .mst import DisconnectedGraphError, is_connected, partial_cut, profit
+from .mst import DisconnectedGraphError, TreePricer, is_connected, partial_cut
 from .quantities import InputError, checked_sum, finite, log2_bounds
 from .solution import GreedyRound, GreedyTrace, InterdictionSolution, make_solution
 
@@ -187,6 +188,7 @@ def _run_greedy(
     round's cut.  With a target `delta` the run stops once the increase
     reaches it or the relaxed cap on `budget` is spent; with None it runs
     until no cut is left."""
+    pricer = TreePricer(g)
     alive = set(range(g.n_edges))
     removed: set[int] = set()
     spent = 0
@@ -199,7 +201,7 @@ def _run_greedy(
         alive -= best.cut_edges
         removed |= best.cut_edges
         spent += best.cost
-        current = profit(g, removed)
+        current = pricer.price(removed)
         cut = partial_cut(g, best.side, best.threshold)
         rounds.append(GreedyRound(cut, best.ratio, spent, current))
         if delta is not None and current >= finite(delta):
@@ -272,11 +274,9 @@ def reduce_budget_range(g: Graph, delta: int) -> tuple[int, int]:
     """Cost range [b*, m*b*] that must contain the optimal budget."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if not is_connected(g):
-        raise DisconnectedGraphError("graph is disconnected")
-    target = finite(delta)
+    pricer = TreePricer(g)
     for b in sorted({e.cost for e in g.edges if e.cost is not None}):
         removed = {i for i, e in enumerate(g.edges) if e.cost is not None and e.cost <= b}
-        if profit(g, removed) >= target:
+        if pricer.price(removed) >= finite(delta):
             return b, b * g.n_edges
     raise InfeasibleError("target increase is unreachable at finite cost")

@@ -2,7 +2,7 @@
 
 Instance format (whitespace separated, `#` starts a comment line):
 
-    n m
+    n m                    (1 <= n <= 10**6)
     u v weight cost        (m lines, 0-based endpoints, cost may be `inf`)
     protect k              (optional section)
     u v weight build_cost removal_cost   (k candidate lines)
@@ -143,6 +143,8 @@ def parse_instance_full(text: str) -> tuple[Graph, tuple[Candidate, ...]]:
         raise ParseError(f"line {lineno}: bad header") from exc
     if n < 1 or m < 0:
         raise ParseError(f"line {lineno}: bad header values")
+    if n > 10**6:  # every solver allocates per vertex
+        raise ParseError(f"line {lineno}: more than 10**6 vertices")
 
     edges = []
     for _ in range(m):

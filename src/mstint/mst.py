@@ -1,11 +1,11 @@
-"""Minimum spanning trees, the profit function, and partial-cut primitives."""
+"""Minimum spanning trees, the profit MST(G minus F) - MST(G), and partial cuts."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Collection, Iterable
 
 from .graph import Graph
-from .quantities import INFINITY, ExtendedValue, InputError, finite
+from .quantities import INFINITY, ZERO, ExtendedValue, InputError, finite
 
 
 class DisconnectedGraphError(InputError):
@@ -85,14 +85,87 @@ def is_connected(g: Graph, exclude: Collection[int] = ()) -> bool:
     return mst(g, exclude).weight.is_finite or g.n_vertices == 1
 
 
+class TreePricer:
+    """The package's one computation of p(F) = MST(G minus F) - MST(G).
+
+    T = MST(G) is the unique MST under the (weight, index) order, so
+    MST(G minus F) keeps T minus F and joins its |F & T| + 1 pieces with the
+    lightest non-tree edges outside F, in Kruskal order.  T is computed and
+    rooted once; each `price` labels the pieces and scans the non-tree edges.
+    """
+
+    def __init__(self, g: Graph):
+        tree = mst(g)
+        if not tree.weight.is_finite:
+            raise DisconnectedGraphError("graph is disconnected")
+        self.g, self.tree = g, tree
+        n = g.n_vertices
+        # root T at vertex 0; a vertex's subtree holds the preorder positions
+        # first[v] .. first[v] + size[v] - 1
+        neighbours: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for i in tree.edges:
+            e = g.edges[i]
+            neighbours[e.u].append((e.v, i))
+            neighbours[e.v].append((e.u, i))
+        self._lower = lower = {}  # tree edge -> its endpoint farther from the root
+        self._first = first = [0] * n
+        parent = [-1] * n
+        preorder, stack = [], [0]
+        while stack:
+            v = stack.pop()
+            first[v] = len(preorder)
+            preorder.append(v)
+            for w, i in neighbours[v]:
+                if w != parent[v]:
+                    parent[w] = v
+                    lower[i] = w
+                    stack.append(w)
+        self._size = size = [1] * n
+        for v in reversed(preorder[1:]):
+            size[parent[v]] += size[v]
+        # the non-tree edges in Kruskal order, by the positions of their ends
+        self._joins = [
+            (i, first[u], first[v]) for i, u, v in g.kruskal_order if i not in lower
+        ]
+
+    def price(self, removed: Collection[int]) -> ExtendedValue:
+        """MST(G minus F) - MST(G) for F = `removed`; infinite iff F disconnects G."""
+        lower, first, size = self._lower, self._first, self._size
+        in_tree = {i for i in removed if i in lower}
+        if not in_tree:
+            return ZERO
+        lost = sorted((lower[i] for i in in_tree), key=first.__getitem__)
+        # label the pieces by preorder position, outer subtrees first
+        piece = [0] * self.g.n_vertices
+        for label, v in enumerate(lost, 1):
+            piece[first[v] : first[v] + size[v]] = [label] * size[v]
+        root = list(range(len(lost) + 1))
+        need, added = len(lost), 0
+        edges = self.g.edges
+        for i, a, b in self._joins:
+            a, b = piece[a], piece[b]
+            if a == b or i in removed:
+                continue
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a != b:
+                root[b] = a
+                added += edges[i].weight
+                need -= 1
+                if not need:
+                    break
+        if need:
+            return INFINITY
+        lost_weight = sum(edges[i].weight for i in in_tree)
+        # the range check mst(g, F) makes of its total
+        return finite(self.tree.weight.units + added - lost_weight) - self.tree.weight
+
+
 def profit(g: Graph, removed: Collection[int]) -> ExtendedValue:
     """MST(G \\ F) - MST(G); infinite iff F disconnects g."""
-    base = mst(g)
-    if not base.weight.is_finite and g.n_vertices > 1:
-        raise DisconnectedGraphError("profit is undefined on a disconnected graph")
-    if g.n_vertices == 1:
-        return finite(0)
-    return mst(g, removed).weight - base.weight
+    return TreePricer(g).price(removed)
 
 
 def partial_cut(g: Graph, side: Iterable[int], threshold: int | None) -> PartialCutSpec:

@@ -1,11 +1,12 @@
 """Profit maximization under a hard budget: the better of the best single
 cut and budget's `_run_greedy` run with no target increase, each round's cut
-fitting in what is left of the budget, until no cut does."""
+fitting in what is left of the budget, until no cut does.  Each phase prices
+its candidates and rounds through one `mst.TreePricer`."""
 from __future__ import annotations
 
 from .budget import CutMemo, _run_greedy, best_ratio_cut, global_cut_candidate
 from .graph import Graph
-from .mst import DisconnectedGraphError, PartialCutSpec, is_connected, partial_cut, profit
+from .mst import DisconnectedGraphError, PartialCutSpec, TreePricer, is_connected, partial_cut
 from .quantities import ExtendedValue, ZERO
 from .solution import InterdictionSolution, make_solution
 
@@ -19,23 +20,22 @@ def best_single_cut(
     candidate cut is affordable and profitable.  `memo` shares the input
     graph's cuts with a later greedy on the same graph.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("graph is disconnected")
+    pricer = TreePricer(g)
     if memo is None:
         memo = CutMemo(g)
-    cuts_at = {w_threshold: memo.cuts_at(w_threshold, None) for w_threshold in memo.weights}
+    # no edge is lighter than the lightest weight, so every cut there is empty
+    thresholds = memo.weights[1:]
+    cuts_at = {w_threshold: memo.cuts_at(w_threshold, None) for w_threshold in thresholds}
     best_cut: PartialCutSpec | None = None
     best_profit = ZERO
     for e in g.edges:
-        for w_threshold in memo.weights:
+        for w_threshold in thresholds:
             if w_threshold > e.weight and (e.cost is None or e.cost > budget):
                 continue  # e crosses every u-v cut at this threshold
             cut = cuts_at[w_threshold](e.u, e.v)
-            if not cut.cost.is_finite or cut.cost.units > budget:
+            if not cut.edges or not cut.cost.is_finite or cut.cost.units > budget:
                 continue
-            if not cut.edges:
-                continue
-            value = profit(g, cut.edges)
+            value = pricer.price(cut.edges)
             if value > best_profit:
                 best_profit = value
                 best_cut = partial_cut(g, cut.side, w_threshold)

@@ -3,7 +3,8 @@
 Given a removal set F with finite profit, builds the sequence of partial
 cuts over the components of T minus F, chosen on the small side of the MST
 of the connected-components graph, and verifies the cost, laminarity,
-matching, and profit bounds that make the greedy analysis work.
+matching, and profit bounds that make the greedy analysis work; one
+`mst.TreePricer` prices the cuts of the profit bound.
 """
 from __future__ import annotations
 
@@ -16,19 +17,18 @@ from .mst import (
     DisconnectedGraphError,
     PartialCutSpec,
     SpanningForest,
+    TreePricer,
     UnionFind,
     mst,
     partial_cut,
 )
 from .quantities import (
-    INFINITY,
     ZERO,
     ExtendedValue,
     GuaranteeError,
     InputError,
     check_quantity,
     checked_sum,
-    finite,
     log2_bounds,
 )
 
@@ -116,90 +116,6 @@ def _matching(adjacent: list[list[int]], n_right: int) -> list[int] | None:
         else:
             return None
     return match_left
-
-
-def cut_profits(
-    g: Graph, tree: SpanningForest, cuts: list[frozenset[int]]
-) -> list[ExtendedValue]:
-    """MST(G minus C) - MST(G) for each edge set C, given T = MST(G).
-
-    T is the unique MST under the (weight, index) order, so MST(G minus C)
-    keeps T minus C and joins its |C & T| + 1 pieces with the lightest
-    non-tree edges outside C, in Kruskal order.
-    """
-    n = g.n_vertices
-    if not tree.weight.is_finite:
-        raise DisconnectedGraphError("graph is disconnected")
-    # root T at vertex 0; a vertex's subtree holds the preorder positions
-    # first[v] .. first[v] + size[v] - 1
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for i in tree.edges:
-        e = g.edges[i]
-        neighbours[e.u].append(e.v)
-        neighbours[e.v].append(e.u)
-    parent = [-1] * n
-    preorder = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        preorder.append(v)
-        for w in neighbours[v]:
-            if w != parent[v]:
-                parent[w] = v
-                stack.append(w)
-    first = [0] * n
-    for pos, v in enumerate(preorder):
-        first[v] = pos
-    size = [1] * n
-    for v in reversed(preorder[1:]):
-        size[parent[v]] += size[v]
-    lower = {}  # tree edge -> its endpoint farther from the root
-    for i in tree.edges:
-        e = g.edges[i]
-        lower[i] = e.u if parent[e.u] == e.v else e.v
-    # the non-tree edges in Kruskal order, by the positions of their ends
-    joins = [
-        (i, first[u], first[v], g.edges[i].weight)
-        for i, u, v in g.kruskal_order
-        if i not in lower
-    ]
-
-    base = tree.weight.units
-    profits = []
-    for cut in cuts:
-        in_tree = [i for i in cut if i in lower]
-        if not in_tree:
-            profits.append(ZERO)
-            continue
-        lost = sorted((lower[i] for i in in_tree), key=first.__getitem__)
-        # label the pieces by preorder position, outer subtrees first
-        piece = [0] * n
-        for label, v in enumerate(lost, 1):
-            piece[first[v] : first[v] + size[v]] = [label] * size[v]
-        root = list(range(len(lost) + 1))
-        need = len(lost)
-        added = 0
-        for i, a, b, weight in joins:
-            a, b = piece[a], piece[b]
-            if a == b or i in cut:
-                continue
-            while root[a] != a:
-                root[a] = a = root[root[a]]
-            while root[b] != b:
-                root[b] = b = root[root[b]]
-            if a != b:
-                root[b] = a
-                added += weight
-                need -= 1
-                if not need:
-                    break
-        if need:
-            profits.append(INFINITY)
-        else:
-            lost_weight = sum(g.edges[i].weight for i in in_tree)
-            # the range check mst(g, C) makes of its total
-            profits.append(finite(base + added - lost_weight) - tree.weight)
-    return profits
 
 
 def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertificate:
@@ -344,10 +260,9 @@ def certify(g: Graph, removed: frozenset[int], cert: RelaxationCertificate) -> d
     else:
         checks["matching_profit_identity"] = False
 
-    # (f) total cut profit covers the solution profit
-    total = ZERO
-    for value in cut_profits(g, mst(g), [cut.edges for cut in cert.cuts]):
-        total = total + value
+    # (f) total cut profit, priced against one rooted T, covers the solution profit
+    pricer = TreePricer(g)
+    total = sum((pricer.price(cut.edges) for cut in cert.cuts), ZERO)
     checks["profit_cover"] = total >= cert.profit_value
 
     # (g) typical vertices: fresh component per cut, plus one untouched

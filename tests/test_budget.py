@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,9 @@ from mstint.oracle import oracle_budget
 from mstint.quantities import INFINITY, finite, log2_bounds
 
 SCALE = 1_000_000
+
+budget_module = importlib.import_module("mstint.budget")
+mst_module = importlib.import_module("mstint.mst")
 
 
 def _greedy_at(g, budget, delta):
@@ -153,3 +157,30 @@ def test_solution_cuts_cover_solution_edges():
 def test_deterministic(t3):
     g = gen_random(17, 7, 12, 5, 5)
     assert budget_approximate(g, SCALE) == budget_approximate(g, SCALE)
+
+
+def test_budget_mst_calls_per_guess(monkeypatch):
+    counts = {"mst": 0, "guesses": 0}
+    real_mst, real_run = mst_module.mst, budget_module._run_greedy
+
+    def counted_mst(*args, **kwargs):
+        counts["mst"] += 1
+        return real_mst(*args, **kwargs)
+
+    def counted_run(*args, **kwargs):
+        counts["guesses"] += 1
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(mst_module, "mst", counted_mst)
+    monkeypatch.setattr(budget_module, "_run_greedy", counted_run)
+    guesses = set()
+    for seed in range(5):
+        g = gen_random(seed, 20, 60, 20, 10)
+        for delta in (SCALE, 5 * SCALE, 20 * SCALE):
+            counts.update(mst=0, guesses=0)
+            budget_approximate(g, delta)
+            # one pricer per budget guess, plus the connectivity check and
+            # the answer's profit
+            assert counts["mst"] == counts["guesses"] + 2, (seed, delta)
+            guesses.add(counts["guesses"])
+    assert guesses >= {1, 2, 3}

@@ -1,10 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mstint
 from conftest import max_tree_complement
@@ -411,6 +415,98 @@ def test_error_contract_on_tiny_instances(capsys, tmp_path):
             assert code in (0, 2), (name, command, err)
             assert len(err.splitlines()) <= 1, (name, command, err)
             assert "Traceback" not in err
+
+
+QUANTITIES = ("0", "1", "2", "3", "0.5", "10", "1000000")
+JUNK = ("-1", "x", "1.2345678", "9999999999999", "inf", "", "\u00b2", "1e3")
+
+
+@st.composite
+def instance_texts(draw):
+    """A small instance, often with a protect section, and in half the
+    cases mutated: tokens replaced by junk, lines cut short or dropped, or
+    the whole text cut short."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 9)) if n > 1 else 0
+    quantity = st.sampled_from(QUANTITIES)
+    cost = st.sampled_from(QUANTITIES[1:])
+
+    def ends():
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        return [str(u), str(v)]
+
+    lines = [[str(n), str(m)]]
+    for _ in range(m):
+        lines.append([*ends(), draw(quantity), draw(st.one_of(cost, st.just("inf")))])
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        lines.append(["protect", str(k)])
+        for _ in range(k):
+            lines.append([*ends(), draw(quantity), draw(cost), draw(cost)])
+    text = None
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2))):
+            row = draw(st.integers(0, len(lines) - 1))
+            mutation = draw(st.sampled_from(("junk", "truncate", "drop", "cut text")))
+            if mutation == "cut text":
+                text = "\n".join(" ".join(row) for row in lines) + "\n"
+                text = text[: draw(st.integers(0, len(text) - 1))]
+                break
+            if not lines[row]:
+                continue
+            if mutation == "junk":
+                col = draw(st.integers(0, len(lines[row]) - 1))
+                lines[row][col] = draw(st.sampled_from(JUNK))
+            elif mutation == "truncate":
+                lines[row] = lines[row][: draw(st.integers(0, len(lines[row]) - 1))]
+            elif len(lines) > 1:
+                del lines[row]
+    if text is None:
+        text = "\n".join(" ".join(row) for row in lines) + "\n"
+    return text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    text=instance_texts(),
+    amount=st.sampled_from(QUANTITIES + ("x",)),
+    edges=st.lists(st.integers(-1, 10).map(str), max_size=5).map(",".join),
+)
+def test_error_contract_on_fuzzed_instances(tmp_path_factory, text, amount, edges):
+    # every instance command on any text answers, reports a guarantee
+    # violation or reports bad input, with at most one stderr line
+    path = tmp_path_factory.getbasetemp() / "fuzzed.txt"
+    path.write_text(text)
+    for command, *flags in (
+        ["mst"],
+        ["eps-increase"],
+        ["budget", f"--delta={amount}"],
+        ["budget", "--fast", f"--delta={amount}"],
+        ["profit", f"--budget={amount}"],
+        ["protect"],
+        ["certify", f"--edges={edges}"],
+        ["oracle-eps"],
+        ["oracle-budget", f"--delta={amount}"],
+        ["oracle-profit", f"--budget={amount}"],
+        ["oracle-profit", "--finite-only", f"--budget={amount}"],
+    ):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([command, str(path), *flags, "--json"])
+        assert code in (0, 1, 2), (command, flags, text, err.getvalue())
+        assert len(err.getvalue().splitlines()) <= 1, (command, flags, text, err.getvalue())
+
+
+def test_vertex_count_is_capped(capsys, tmp_path):
+    # a header may not ask for more vertices than a run can hold: each
+    # solver allocates per vertex, and an unbounded n exhausted memory
+    for n, expected in ((10**6, 0), (10**6 + 1, 2), (9999999999999, 2)):
+        path = tmp_path / f"n{n}.txt"
+        path.write_text(f"{n} 0\n")
+        code, _, err = run(capsys, ["mst", str(path)])
+        assert code == expected, err
+        if expected:
+            assert err == "error: line 1: more than 10**6 vertices\n"
 
 
 def test_degenerate_input_messages(capsys, tmp_path):

@@ -7,6 +7,7 @@ from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
 from mstint.mst import (
     DisconnectedGraphError,
+    TreePricer,
     UnionFind,
     is_connected,
     mst,
@@ -57,6 +58,32 @@ def test_profit_rejects_disconnected(p2):
 
 def test_profit_single_vertex_graph():
     assert profit(Graph(1, ()), set()) == ZERO
+
+
+def test_pricer_without_tree_edges_is_zero(t3):
+    pricer = TreePricer(t3)
+    assert pricer.tree.edges == frozenset({0, 1})
+    pricer._joins = None  # a set with no tree edge must not scan
+    assert pricer.price({2}) == ZERO
+    assert pricer.price(set()) == ZERO
+    assert TreePricer(Graph(1, ())).price(set()) == ZERO
+
+
+def test_pricer_rejects_disconnected(p2):
+    with pytest.raises(DisconnectedGraphError, match="graph is disconnected"):
+        TreePricer(Graph(3, p2.edges))
+
+
+def test_profit_is_the_pricer():
+    rng = random.Random(0x7EE5)
+    for seed in range(40):
+        g = gen_random(seed, 2 + seed % 9, 1 + seed % 9 + 2 * (seed % 5), 3, 5)
+        pricer = TreePricer(g)
+        for _ in range(10):
+            picks = [i for i in range(g.n_edges) if rng.random() < 0.3]
+            assert profit(g, set(picks)) == pricer.price(set(picks))
+            # a collection with repeats prices as its set
+            assert pricer.price(picks + picks) == pricer.price(frozenset(picks))
 
 
 def test_partial_cut_t3(t3):

@@ -1,5 +1,8 @@
+import importlib
+
 import pytest
 
+from mstint.budget import global_cut_candidate
 from mstint.generators import gen_bad_example, gen_random
 from mstint.mst import profit
 from mstint.oracle import oracle_profit
@@ -7,6 +10,8 @@ from mstint.profit import best_single_cut, profit_approximate
 from mstint.quantities import INFINITY, ZERO, finite
 
 SCALE = 1_000_000
+
+mst_module = importlib.import_module("mstint.mst")
 
 
 def test_best_single_cut_t3(t3):
@@ -78,3 +83,31 @@ def test_rejects_bad_budget(t3):
 def test_deterministic():
     g = gen_random(31, 7, 12, 5, 5)
     assert profit_approximate(g, 2 * SCALE) == profit_approximate(g, 2 * SCALE)
+
+
+def test_profit_mst_calls_are_constant(monkeypatch):
+    calls = 0
+    real_mst = mst_module.mst
+
+    def counted_mst(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_mst(*args, **kwargs)
+
+    monkeypatch.setattr(mst_module, "mst", counted_mst)
+    rounds = set()
+    for seed in range(5):
+        g = gen_random(seed, 20, 60, 20, 10)
+        complete = global_cut_candidate(g)[0]
+        for budget in (complete // 4, complete // 2, complete - 1):
+            calls = 0
+            sol = profit_approximate(g, budget)
+            rounds.add(len(sol.trace.rounds))
+            # four, whatever the rounds and candidates: the connectivity
+            # check, one pricer each for the single cut and the greedy, and
+            # the answer's profit
+            assert calls == 4, (seed, budget)
+        calls = 0
+        assert profit_approximate(g, complete).profit == INFINITY
+        assert calls == 2  # the connectivity check and the answer's profit
+    assert len(rounds) >= 4

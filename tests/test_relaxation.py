@@ -14,6 +14,7 @@ from mstint.mst import (
     DisconnectedGraphError,
     PartialCutSpec,
     SpanningForest,
+    TreePricer,
     UnionFind,
     mst,
     partial_cut,
@@ -34,7 +35,6 @@ from mstint.relaxation import (
     build_cc_graph,
     build_cut_sequence,
     certify,
-    cut_profits,
 )
 
 mst_module = importlib.import_module("mstint.mst")
@@ -403,7 +403,8 @@ def test_cut_profits_match_kruskal():
             p = rng.choice((0.05, 0.2, 0.5))
             sets.append(frozenset(i for i in range(g.n_edges) if rng.random() < p))
         expected = [mst(g, cut).weight - tree.weight for cut in sets]
-        assert cut_profits(g, tree, sets) == expected, seed
+        pricer = TreePricer(g)
+        assert [pricer.price(cut) for cut in sets] == expected, seed
         disconnecting += sum(not value.is_finite for value in expected)
     assert disconnecting >= 500
 
@@ -534,8 +535,8 @@ def test_certify_work_counts(monkeypatch, tmp_path):
         counts = certify_run_counts(monkeypatch, tmp_path, g, removed)
         # three, whatever t: T = MST(G) and T' = MST(G minus F), which give
         # the components, the prime edges T' minus T and the profit, and
-        # MST(G) once for check (f), which prices every cut from the pieces
-        # of T minus C with no Kruskal of its own
+        # the one `TreePricer` of check (f), which prices every cut from the
+        # pieces of T minus C with no Kruskal of its own
         assert counts["mst"] == 3
         # the components of T minus F; the cut sequence itself builds none
         assert counts["union_find"] <= 1
