@@ -20,10 +20,11 @@ max-flows without changing any answer:
   is total, so the best cut is the same as that of a scan over every pair.
 
 `_run_greedy` is the one ratio-greedy loop of the package; budget and profit
-differ only in when it stops.  Each run prices its rounds through one
-`mst.TreePricer`.  `budget_approximate` is the paper's algorithm: the greedy
-runs to the target increase at each budget guess of a doubling search, with
-the global min cut as the fallback.
+differ only in when it stops.  `budget_approximate` is the paper's
+algorithm: the greedy runs to the target increase at each budget guess of a
+doubling search, with the global min cut as the fallback.  The run builds
+one `mst.TreePricer`, which checks that the graph is connected and prices
+the rounds of every guess and the answer.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from typing import Callable
 
 from .cuts import CutResult, global_min_cut, min_st_cut
 from .graph import Graph
-from .mst import DisconnectedGraphError, TreePricer, is_connected, partial_cut
+from .mst import TreePricer, partial_cut
 from .quantities import InputError, checked_sum, finite, log2_bounds
 from .solution import GreedyRound, GreedyTrace, InterdictionSolution, make_solution
 
@@ -182,13 +183,13 @@ def _relaxed_budget_cap(n: int, budget: int) -> Fraction:
 
 
 def _run_greedy(
-    g: Graph, budget: int, delta: int | None, scan
+    pricer: TreePricer, budget: int, delta: int | None, scan
 ) -> tuple[frozenset[int], GreedyTrace]:
-    """The ratio greedy of budget and profit: `scan(alive, spent)` gives each
-    round's cut.  With a target `delta` the run stops once the increase
-    reaches it or the relaxed cap on `budget` is spent; with None it runs
-    until no cut is left."""
-    pricer = TreePricer(g)
+    """The ratio greedy of budget and profit on the pricer's graph:
+    `scan(alive, spent)` gives each round's cut.  With a target `delta` the
+    run stops once the increase reaches it or the relaxed cap on `budget`
+    is spent; with None it runs until no cut is left."""
+    g = pricer.g
     alive = set(range(g.n_edges))
     removed: set[int] = set()
     spent = 0
@@ -239,35 +240,35 @@ def _doubling(g: Graph, run) -> tuple[frozenset[int], GreedyTrace] | None:
 
 
 def _finish(
-    g: Graph, greedy_result: tuple[frozenset[int], GreedyTrace] | None
+    pricer: TreePricer, greedy_result: tuple[frozenset[int], GreedyTrace] | None
 ) -> InterdictionSolution:
+    g = pricer.g
     fallback = global_cut_candidate(g)
     if greedy_result is not None:
         edges, trace = greedy_result
         cost = checked_sum(g.edges[i].cost for i in edges)
         if fallback is None or cost <= fallback[0]:
             return make_solution(
-                g, edges, cuts=tuple(r.cut for r in trace.rounds), trace=trace
+                pricer, edges, cuts=tuple(r.cut for r in trace.rounds), trace=trace
             )
     if fallback is None:
         raise InfeasibleError("target increase is unreachable at finite cost")
-    return make_solution(g, fallback[1])
+    return make_solution(pricer, fallback[1])
 
 
 def budget_approximate(g: Graph, delta: int) -> InterdictionSolution:
     """Cheapest-found edge set with profit >= delta, within O(log n) of OPT."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if not is_connected(g):
-        raise DisconnectedGraphError("graph is disconnected")
+    pricer = TreePricer(g)  # raises on a disconnected graph
     memo = CutMemo(g)
 
     def run(budget: int):
         return _run_greedy(
-            g, budget, delta, lambda alive, _spent: best_ratio_cut(memo, alive, budget)
+            pricer, budget, delta, lambda alive, _spent: best_ratio_cut(memo, alive, budget)
         )
 
-    return _finish(g, _doubling(g, run))
+    return _finish(pricer, _doubling(g, run))
 
 
 def reduce_budget_range(g: Graph, delta: int) -> tuple[int, int]:

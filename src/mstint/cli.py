@@ -26,6 +26,7 @@ from .quantities import (
     InputError,
     QuantityParseError,
     format_quantity,
+    parse_digits,
     parse_quantity,
 )
 from .relaxation import build_cut_sequence, certify
@@ -127,7 +128,7 @@ def _cmd_protect(args) -> int:
 
 def _parse_edge_list(token: str, g: Graph) -> frozenset[int]:
     try:
-        indices = frozenset(int(part) for part in token.split(",") if part)
+        indices = frozenset(parse_digits(part) for part in token.split(",") if part)
     except ValueError as exc:
         raise InputError(f"bad edge list: {token!r}") from exc
     for i in indices:

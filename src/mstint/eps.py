@@ -16,13 +16,7 @@ from typing import Iterator
 
 from .cuts import CutResult, global_min_cut
 from .graph import Edge, Graph
-from .mst import (
-    DisconnectedGraphError,
-    PartialCutSpec,
-    UnionFind,
-    is_connected,
-    partial_cut,
-)
+from .mst import PartialCutSpec, TreePricer, UnionFind, partial_cut
 from .quantities import INFINITY, GuaranteeError, InputError
 from .solution import InterdictionSolution, make_solution
 
@@ -119,8 +113,7 @@ def eps_increase(g: Graph) -> InterdictionSolution:
     """
     if g.n_vertices < 2:
         raise InputError("need at least two vertices")
-    if not is_connected(g):
-        raise DisconnectedGraphError("graph is disconnected")
+    pricer = TreePricer(g)  # raises on a disconnected graph
 
     best: tuple[CutResult, PartialCutSpec] | None = None
     for inst in class_components(g):
@@ -134,4 +127,4 @@ def eps_increase(g: Graph) -> InterdictionSolution:
     cut, spec = best
     if not (cut.cost.is_finite and spec.edges):
         raise GuaranteeError("the cheapest class cut must be finite and nonempty")
-    return make_solution(g, spec.edges, cuts=(spec,))
+    return make_solution(pricer, spec.edges, cuts=(spec,))

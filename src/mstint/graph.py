@@ -21,6 +21,7 @@ from .quantities import (
     QuantityParseError,
     check_quantity,
     format_quantity,
+    parse_digits,
     parse_quantity,
 )
 
@@ -138,10 +139,10 @@ def parse_instance_full(text: str) -> tuple[Graph, tuple[Candidate, ...]]:
     if len(header) != 2:
         raise ParseError(f"line {lineno}: expected `n m` header")
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = parse_digits(header[0]), parse_digits(header[1])
     except ValueError as exc:
         raise ParseError(f"line {lineno}: bad header") from exc
-    if n < 1 or m < 0:
+    if n < 1:
         raise ParseError(f"line {lineno}: bad header values")
     if n > 10**6:  # every solver allocates per vertex
         raise ParseError(f"line {lineno}: more than 10**6 vertices")
@@ -155,7 +156,7 @@ def parse_instance_full(text: str) -> tuple[Graph, tuple[Candidate, ...]]:
         if len(parts) != 4:
             raise ParseError(f"line {lineno}: expected `u v weight cost`")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = parse_digits(parts[0]), parse_digits(parts[1])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad endpoint") from exc
         weight = _parse_weight(parts[2], lineno)
@@ -169,7 +170,7 @@ def parse_instance_full(text: str) -> tuple[Graph, tuple[Candidate, ...]]:
         if parts[0] != "protect" or len(parts) != 2:
             raise ParseError(f"line {lineno}: expected `protect k` or end of file")
         try:
-            k = int(parts[1])
+            k = parse_digits(parts[1])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad protect count") from exc
         if len(tail) - 1 != k:
@@ -180,7 +181,7 @@ def parse_instance_full(text: str) -> tuple[Graph, tuple[Candidate, ...]]:
                     f"line {lineno}: expected `u v weight build_cost removal_cost`"
                 )
             try:
-                u, v = int(parts[0]), int(parts[1])
+                u, v = parse_digits(parts[0]), parse_digits(parts[1])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad endpoint") from exc
             weight = _parse_weight(parts[2], lineno)

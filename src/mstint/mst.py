@@ -81,10 +81,6 @@ def mst(g: Graph, exclude: Collection[int] = ()) -> SpanningForest:
     return SpanningForest(frozenset(chosen), weight)
 
 
-def is_connected(g: Graph, exclude: Collection[int] = ()) -> bool:
-    return mst(g, exclude).weight.is_finite or g.n_vertices == 1
-
-
 class TreePricer:
     """The package's one computation of p(F) = MST(G minus F) - MST(G).
 
@@ -164,7 +160,8 @@ class TreePricer:
 
 
 def profit(g: Graph, removed: Collection[int]) -> ExtendedValue:
-    """MST(G \\ F) - MST(G); infinite iff F disconnects g."""
+    """MST(G \\ F) - MST(G); infinite iff F disconnects g.  A one-shot price:
+    a run that prices several sets of one graph keeps one `TreePricer`."""
     return TreePricer(g).price(removed)
 
 

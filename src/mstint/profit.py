@@ -1,28 +1,28 @@
 """Profit maximization under a hard budget: the better of the best single
 cut and budget's `_run_greedy` run with no target increase, each round's cut
-fitting in what is left of the budget, until no cut does.  Each phase prices
-its candidates and rounds through one `mst.TreePricer`."""
+fitting in what is left of the budget, until no cut does.  The run builds one
+`mst.TreePricer`, which checks that the graph is connected and prices the
+single cut's candidates, the greedy's rounds and the answer."""
 from __future__ import annotations
 
 from .budget import CutMemo, _run_greedy, best_ratio_cut, global_cut_candidate
 from .graph import Graph
-from .mst import DisconnectedGraphError, PartialCutSpec, TreePricer, is_connected, partial_cut
+from .mst import PartialCutSpec, TreePricer, partial_cut
 from .quantities import ExtendedValue, ZERO
 from .solution import InterdictionSolution, make_solution
 
 
 def best_single_cut(
-    g: Graph, budget: int, memo: CutMemo | None = None
+    pricer: TreePricer, budget: int, memo: CutMemo
 ) -> tuple[PartialCutSpec | None, ExtendedValue]:
-    """Highest true-profit (edge, W) cut of cost at most `budget`.
+    """Highest true-profit (edge, W) cut of cost at most `budget` in the
+    pricer's graph.
 
     Ties keep the first pair in (edge, W) order.  Returns (None, 0) when no
-    candidate cut is affordable and profitable.  `memo` shares the input
-    graph's cuts with a later greedy on the same graph.
+    candidate cut is affordable and profitable.  `memo`, of the same graph,
+    shares the input graph's cuts with a later greedy.
     """
-    pricer = TreePricer(g)
-    if memo is None:
-        memo = CutMemo(g)
+    g = pricer.g
     # no edge is lighter than the lightest weight, so every cut there is empty
     thresholds = memo.weights[1:]
     cuts_at = {w_threshold: memo.cuts_at(w_threshold, None) for w_threshold in thresholds}
@@ -54,22 +54,21 @@ def profit_approximate(g: Graph, budget: int) -> InterdictionSolution:
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    if not is_connected(g):
-        raise DisconnectedGraphError("graph is disconnected")
+    pricer = TreePricer(g)  # raises on a disconnected graph
     complete = global_cut_candidate(g)
     if complete is not None and complete[0] <= budget:
-        return make_solution(g, complete[1])
+        return make_solution(pricer, complete[1])
     memo = CutMemo(g)
-    single_cut, single_profit = best_single_cut(g, budget, memo)
+    single_cut, single_profit = best_single_cut(pricer, budget, memo)
     # the hard budget: each round's cut must fit in what is left of it
     greedy_edges, trace = _run_greedy(
-        g, budget, None, lambda alive, spent: best_ratio_cut(memo, alive, budget - spent)
+        pricer, budget, None, lambda alive, spent: best_ratio_cut(memo, alive, budget - spent)
     )
     greedy_profit = trace.rounds[-1].cumulative_profit if trace.rounds else ZERO
     if single_profit >= greedy_profit:
         if single_cut is None:
-            return make_solution(g, frozenset(), trace=trace)
-        return make_solution(g, single_cut.edges, cuts=(single_cut,), trace=trace)
+            return make_solution(pricer, frozenset(), trace=trace)
+        return make_solution(pricer, single_cut.edges, cuts=(single_cut,), trace=trace)
     return make_solution(
-        g, greedy_edges, cuts=tuple(r.cut for r in trace.rounds), trace=trace
+        pricer, greedy_edges, cuts=tuple(r.cut for r in trace.rounds), trace=trace
     )

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .eps import eps_increase
 from .graph import Candidate, Edge, Graph
-from .mst import PartialCutSpec, mst, partial_cut
+from .mst import DisconnectedGraphError, PartialCutSpec, mst, partial_cut
 from .quantities import GuaranteeError, InputError
 
 
@@ -27,6 +27,9 @@ class ProtectionInstance:
 
     def __post_init__(self) -> None:
         base_weight = mst(self.base).weight
+        # else a candidate that joins two components is blamed for lowering it
+        if not base_weight.is_finite:
+            raise DisconnectedGraphError("graph is disconnected")
         for idx, c in enumerate(self.candidates):
             augmented = self.base.with_edges(
                 [Edge(c.u, c.v, c.weight, c.removal_cost)]

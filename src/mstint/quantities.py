@@ -52,25 +52,26 @@ def checked_sum(values) -> int:
     return total
 
 
+def parse_digits(token: str) -> int:
+    """A nonnegative integer in ASCII digits 0-9, else ValueError; int()
+    alone also reads '٣' as 3, '1_0' as 10 and '+0' as 0."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a digit string: {token!r}")
+    return int(token)
+
+
 def parse_quantity(token: str) -> int:
     """Parse a nonnegative decimal literal into scaled integer units."""
     text = token.strip()
-    if not text or text.startswith("+") or text.startswith("-"):
-        raise QuantityParseError(f"bad quantity literal: {token!r}")
-    if "." in text:
-        whole, _, frac = text.partition(".")
-        if not whole:
-            whole = "0"
-    else:
-        whole, frac = text, ""
-    # isdecimal, not isdigit: int() rejects digits such as '²'
-    if not whole.isdecimal() or (frac and not frac.isdecimal()):
+    whole, _, frac = text.partition(".")
+    digits = whole + frac  # ASCII only: str.isdigit also admits '٣'
+    if not (digits.isascii() and digits.isdigit()):
         raise QuantityParseError(f"bad quantity literal: {token!r}")
     if len(frac) > FRACTION_DIGITS:
-        raise QuantityParseError(
-            f"more than {FRACTION_DIGITS} fractional digits: {token!r}"
-        )
-    units = int(whole) * SCALE + int(frac.ljust(FRACTION_DIGITS, "0") or "0")
+        raise QuantityParseError(f"more than {FRACTION_DIGITS} fractional digits: {token!r}")
+    if len(whole.lstrip("0")) > 19:  # past 2**63, and int() stops at 4300 digits
+        raise QuantityOverflowError(f"quantity out of range: {token!r}")
+    units = int(whole or "0") * SCALE + int(frac.ljust(FRACTION_DIGITS, "0"))
     return check_quantity(units)
 
 

@@ -4,8 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import Graph
-from .mst import PartialCutSpec, profit
+from .mst import PartialCutSpec, TreePricer
 from .quantities import ExtendedValue, checked_sum, format_quantity
 
 
@@ -34,18 +33,19 @@ class InterdictionSolution:
 
 
 def make_solution(
-    g: Graph,
+    pricer: TreePricer,
     edges,
     cuts: tuple[PartialCutSpec, ...] = (),
     trace: GreedyTrace | None = None,
 ) -> InterdictionSolution:
-    """Build a solution, recomputing cost and profit from scratch."""
-    edge_set = frozenset(edges)
+    """Build a solution of the pricer's graph, recomputing its cost from the
+    edges and its profit through the run's one `TreePricer`."""
+    g, edge_set = pricer.g, frozenset(edges)
     for i in edge_set:
         if g.edges[i].cost is None:
             raise ValueError(f"edge {i} has infinite removal cost")
     cost = checked_sum(g.edges[i].cost for i in edge_set)
-    return InterdictionSolution(edge_set, cost, profit(g, edge_set), cuts, trace)
+    return InterdictionSolution(edge_set, cost, pricer.price(edge_set), cuts, trace)
 
 
 def _cut_record(cut: PartialCutSpec) -> dict:

@@ -15,8 +15,8 @@ from mstint.budget import (
 )
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
-from mstint.mst import mst, profit
-from mstint.oracle import oracle_budget
+from mstint.mst import TreePricer, mst, profit
+from mstint.oracle import oracle_budget, prim_mst_weight
 from mstint.quantities import INFINITY, finite, log2_bounds
 
 SCALE = 1_000_000
@@ -26,9 +26,9 @@ mst_module = importlib.import_module("mstint.mst")
 
 
 def _greedy_at(g, budget, delta):
-    memo = CutMemo(g)
+    pricer, memo = TreePricer(g), CutMemo(g)
     return _run_greedy(
-        g, budget, delta, lambda alive, _spent: best_ratio_cut(memo, alive, budget)
+        pricer, budget, delta, lambda alive, _spent: best_ratio_cut(memo, alive, budget)
     )
 
 
@@ -54,13 +54,13 @@ def test_exhausted_guess_returns_its_partial_set_and_doubles():
     # unit cuts and stops short of delta = w(T); the next guess reaches it
     g = gen_random(54, 10, 24, 20, 1)
     delta = mst(g).weight.units
-    memo = CutMemo(g)
+    pricer, memo = TreePricer(g), CutMemo(g)
     runs = []
 
     def run(budget):
         runs.append(
             _run_greedy(
-                g, budget, delta, lambda alive, _spent: best_ratio_cut(memo, alive, budget)
+                pricer, budget, delta, lambda alive, _spent: best_ratio_cut(memo, alive, budget)
             )
         )
         return runs[-1]
@@ -118,7 +118,8 @@ def test_profit_recomputed_independently():
     for seed in range(15):
         g = gen_random(seed, 6, 10, 5, 5)
         sol = budget_approximate(g, SCALE)
-        assert sol.profit == profit(g, sol.edges)
+        # Prim, not the solver's own pricer
+        assert sol.profit == prim_mst_weight(g, sol.edges) - prim_mst_weight(g)
         assert sol.cost == sum(g.edges[i].cost for i in sol.edges)
 
 
@@ -179,8 +180,8 @@ def test_budget_mst_calls_per_guess(monkeypatch):
         for delta in (SCALE, 5 * SCALE, 20 * SCALE):
             counts.update(mst=0, guesses=0)
             budget_approximate(g, delta)
-            # one pricer per budget guess, plus the connectivity check and
-            # the answer's profit
-            assert counts["mst"] == counts["guesses"] + 2, (seed, delta)
+            # one pricer for the run: the connectivity check, every guess's
+            # rounds and the answer's profit
+            assert counts["mst"] == 1, (seed, delta)
             guesses.add(counts["guesses"])
     assert guesses >= {1, 2, 3}

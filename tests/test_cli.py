@@ -371,11 +371,14 @@ def test_quantity_overflow_is_input_error(capsys, tmp_path):
         "path": f"3 2\n0 1 {big} 1\n1 2 {big} 1\n",
         "unit": f"3 3\n0 1 1 {big}\n1 2 1 {big}\n0 2 1 {big}\n",
         "graded": f"3 3\n0 1 1 {big}\n1 2 2 {big}\n0 2 3 {big}\n",
+        # past int()'s 4300-digit limit, which raises a plain ValueError
+        "digits": f"2 1\n0 1 {'9' * 5000} 1\n",
     }
     for name, text in instances.items():
         (tmp_path / name).write_text(text)
     for command, name, *flags in (
         ("mst", "path"),
+        ("mst", "digits"),
         ("eps-increase", "unit"),
         ("budget", "unit", "--delta", "1"),
         ("profit", "graded", "--budget", "1"),
@@ -514,11 +517,19 @@ def test_degenerate_input_messages(capsys, tmp_path):
     inf_triangle.write_text("3 3\n0 1 1 inf\n1 2 1 inf\n0 2 1 inf\n")
     single = tmp_path / "n1"
     single.write_text("1 0\n")
+    # two components and a protect candidate that would bridge them
+    split = tmp_path / "split"
+    split.write_text("4 2\n0 1 1 1\n2 3 1 1\nprotect 1\n1 2 5 1 1\n")
     for argv, message in (
         (["certify", str(inf_triangle), "--edges", "0"], "edge 0 has infinite removal cost"),
         # two removed edges disconnect the triangle, which is reported first
         (["certify", str(inf_triangle), "--edges", "1,2"], "removal set disconnects the graph"),
         (["budget", str(single), "--delta", "1"], "target increase is unreachable at finite cost"),
+        (["eps-increase", str(split)], "graph is disconnected"),
+        (["budget", str(split), "--delta", "1"], "graph is disconnected"),
+        (["profit", str(split), "--budget", "1"], "graph is disconnected"),
+        (["certify", str(split), "--edges", ""], "graph is disconnected"),
+        (["protect", str(split)], "graph is disconnected"),
     ):
         assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
@@ -530,10 +541,22 @@ def test_undecodable_or_non_decimal_input_exits_2(capsys, tmp_path, t3_file):
     undecodable.write_bytes(b"2 1\n0 1 \xff 1\n")
     superscript = tmp_path / "superscript.txt"
     superscript.write_text("2 1\n0 1 \u00b2 1\n")
+    # int() reads '1_0' as 10, '+0' as 0 and the Arabic-Indic '\u0663' as 3
+    underscore = tmp_path / "underscore.txt"
+    underscore.write_text("1_0 0\n")
+    plus = tmp_path / "plus.txt"
+    plus.write_text("2 1\n+0 1 1 1\n")
+    arabic = tmp_path / "arabic.txt"
+    arabic.write_text("2 1\n0 1 \u0663 1\n", encoding="utf-8")
     for argv in (
         ["mst", str(undecodable)],
         ["mst", str(superscript)],
         ["profit", t3_file, "--budget", "\u00b2"],
+        ["mst", str(underscore)],
+        ["mst", str(plus)],
+        ["mst", str(arabic)],
+        ["profit", t3_file, "--budget", "\u0661"],
+        ["certify", t3_file, "--edges", "0_0"],
     ):
         code, _, err = run(capsys, argv)
         assert code == 2, err
@@ -578,6 +601,8 @@ def test_optimized_profit_certify_protect(capsys, tmp_path, t3_file):
     protect_file = tmp_path / "t3p.txt"
     protect_file.write_text(T3 + "protect 2\n0 1 1 2 4\n1 2 2 3 4\n")
     for argv in (
+        ["eps-increase", t3_file, "--json"],
+        ["budget", t3_file, "--delta", "2", "--json"],
         ["profit", t3_file, "--budget", "1", "--json"],
         ["certify", t3_file, "--edges", "0", "--json"],
         ["protect", str(protect_file), "--json"],

@@ -21,7 +21,7 @@ from mstint.budget import (
 from mstint.cuts import global_min_cut, min_st_cut
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
-from mstint.mst import partial_cut, profit
+from mstint.mst import TreePricer, partial_cut, profit
 from mstint.profit import best_single_cut, profit_approximate
 from mstint.quantities import ZERO
 from mstint.solution import GreedyRound, GreedyTrace, make_solution
@@ -50,16 +50,17 @@ def reference_scan(g: Graph, alive: set[int], weights: list[int], room: int):
 
 def reference_budget(g: Graph, delta: int):
     weights = g.distinct_weights()
+    pricer = TreePricer(g)
 
     def run(budget: int):
         return _run_greedy(
-            g,
+            pricer,
             budget,
             delta,
             lambda alive, _spent: reference_scan(g, alive, weights, budget),
         )
 
-    return _finish(g, _doubling(g, run))
+    return _finish(pricer, _doubling(g, run))
 
 
 def reference_single_cut(g: Graph, budget: int):
@@ -98,17 +99,18 @@ def reference_greedy(g: Graph, budget: int):
 
 def reference_profit(g: Graph, budget: int):
     # a global min cut within budget is an infinite increase: returned at once
+    pricer = TreePricer(g)
     cut = global_min_cut(g)
     if cut.cost.is_finite and cut.cost.units <= budget and cut.edges:
-        return make_solution(g, cut.edges)
+        return make_solution(pricer, cut.edges)
     single_cut, single_profit = reference_single_cut(g, budget)
     removed, trace = reference_greedy(g, budget)
     greedy_profit = profit(g, removed) if removed else ZERO
     if single_profit >= greedy_profit:
         if single_cut is None:
-            return make_solution(g, frozenset(), trace=trace)
-        return make_solution(g, single_cut.edges, cuts=(single_cut,), trace=trace)
-    return make_solution(g, removed, cuts=tuple(r.cut for r in trace.rounds), trace=trace)
+            return make_solution(pricer, frozenset(), trace=trace)
+        return make_solution(pricer, single_cut.edges, cuts=(single_cut,), trace=trace)
+    return make_solution(pricer, removed, cuts=tuple(r.cut for r in trace.rounds), trace=trace)
 
 
 def instance(seed: int) -> Graph:
@@ -148,14 +150,19 @@ def test_engine_matches_reference_scan():
         whole = sum(e.cost for e in g.edges if e.cost is not None)
         base = cut.units if cut.is_finite else whole
         budget = max(1, base * rng.randint(1, 8) // 4)
-        assert best_single_cut(g, budget) == reference_single_cut(g, budget), seed
+        assert best_single_cut(
+            TreePricer(g), budget, CutMemo(g)
+        ) == reference_single_cut(g, budget), seed
         assert outcome(profit_approximate, g, budget) == outcome(
             reference_profit, g, budget
         ), seed
         # the greedy itself, also where the global min cut answers first
         memo = CutMemo(g)
         greedy = _run_greedy(
-            g, budget, None, lambda alive, spent: best_ratio_cut(memo, alive, budget - spent)
+            TreePricer(g),
+            budget,
+            None,
+            lambda alive, spent: best_ratio_cut(memo, alive, budget - spent),
         )
         assert greedy == reference_greedy(g, budget), seed
 

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from mstint import eps
@@ -5,8 +7,10 @@ from mstint.eps import NoFiniteCutError, class_components, eps_increase
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
 from mstint.mst import DisconnectedGraphError, mst, profit
-from mstint.oracle import oracle_eps
+from mstint.oracle import oracle_eps, prim_mst_weight
 from mstint.quantities import INFINITY, ZERO, finite
+
+mst_module = importlib.import_module("mstint.mst")
 
 
 def test_t3(t3):
@@ -55,7 +59,8 @@ def test_matches_oracle_on_random_instances():
         sol = eps_increase(g)
         assert sol.cost == oracle_eps(g).cost
         assert profit(g, sol.edges) > ZERO
-        assert sol.profit == profit(g, sol.edges)
+        # Prim, not the solver's own pricer
+        assert sol.profit == prim_mst_weight(g, sol.edges) - prim_mst_weight(g)
 
 
 def class_component_count(g: Graph) -> int:
@@ -96,6 +101,25 @@ def test_one_global_min_cut_per_class_component(monkeypatch):
     calls.clear()
     eps_increase(cycle)
     assert len(calls) == class_component_count(cycle) == 1
+
+
+def test_eps_mst_calls(monkeypatch):
+    calls = 0
+    real_mst = mst_module.mst
+
+    def counted_mst(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_mst(*args, **kwargs)
+
+    monkeypatch.setattr(mst_module, "mst", counted_mst)
+    for seed in range(5):
+        for max_weight in (0, 3, 1000):
+            g = gen_random(seed, 20, 60, max_weight, 10)
+            calls = 0
+            eps_increase(g)
+            # one: the run's pricer checks connectivity and prices the answer
+            assert calls == 1, (seed, max_weight)
 
 
 def test_rejects_disconnected():

@@ -9,7 +9,6 @@ from mstint.mst import (
     DisconnectedGraphError,
     TreePricer,
     UnionFind,
-    is_connected,
     mst,
     partial_cut,
     profit,
@@ -178,8 +177,3 @@ def test_profit_monotone():
         large = small | frozenset(rng.sample(range(g.n_edges), 4))
         assert profit(g, small) <= profit(g, large)
 
-
-def test_is_connected(t3, p2):
-    assert is_connected(t3)
-    assert not is_connected(p2, {0})
-    assert is_connected(Graph(1, ()))

@@ -2,10 +2,10 @@ import importlib
 
 import pytest
 
-from mstint.budget import global_cut_candidate
+from mstint.budget import CutMemo, global_cut_candidate
 from mstint.generators import gen_bad_example, gen_random
-from mstint.mst import profit
-from mstint.oracle import oracle_profit
+from mstint.mst import TreePricer
+from mstint.oracle import oracle_profit, prim_mst_weight
 from mstint.profit import best_single_cut, profit_approximate
 from mstint.quantities import INFINITY, ZERO, finite
 
@@ -14,8 +14,12 @@ SCALE = 1_000_000
 mst_module = importlib.import_module("mstint.mst")
 
 
+def single_cut(g, budget):
+    return best_single_cut(TreePricer(g), budget, CutMemo(g))
+
+
 def test_best_single_cut_t3(t3):
-    cut, value = best_single_cut(t3, SCALE)
+    cut, value = single_cut(t3, SCALE)
     assert value == finite(2 * SCALE)
     assert cut.edges == frozenset({0})
     # ties in true profit keep the first (edge, W) candidate, so the
@@ -25,14 +29,14 @@ def test_best_single_cut_t3(t3):
 
 
 def test_best_single_cut_unaffordable(t3):
-    cut, value = best_single_cut(t3, SCALE // 2)
+    cut, value = single_cut(t3, SCALE // 2)
     assert cut is None
     assert value == ZERO
 
 
 def test_best_single_cut_bad_example():
     g, budget = gen_bad_example(100, 4, 5)
-    _, value = best_single_cut(g, budget)
+    _, value = single_cut(g, budget)
     assert value >= finite(SCALE)  # at least a single path-edge cut
 
 
@@ -63,14 +67,15 @@ def test_hard_budget_always_respected():
         budget = (1 + seed % 5) * SCALE
         sol = profit_approximate(g, budget)
         assert sol.cost <= budget
-        assert sol.profit == profit(g, sol.edges)
+        # Prim, not the solver's own pricer
+        assert sol.profit == prim_mst_weight(g, sol.edges) - prim_mst_weight(g)
 
 
 def test_result_at_least_both_phases():
     for seed in range(20):
         g = gen_random(seed, 6, 10, 5, 5)
         budget = 2 * SCALE
-        _, single = best_single_cut(g, budget)
+        _, single = single_cut(g, budget)
         sol = profit_approximate(g, budget)
         assert sol.profit >= single
 
@@ -103,11 +108,10 @@ def test_profit_mst_calls_are_constant(monkeypatch):
             calls = 0
             sol = profit_approximate(g, budget)
             rounds.add(len(sol.trace.rounds))
-            # four, whatever the rounds and candidates: the connectivity
-            # check, one pricer each for the single cut and the greedy, and
-            # the answer's profit
-            assert calls == 4, (seed, budget)
+            # one, whatever the rounds and candidates: the run's pricer
+            # checks connectivity and prices both phases and the answer
+            assert calls == 1, (seed, budget)
         calls = 0
         assert profit_approximate(g, complete).profit == INFINITY
-        assert calls == 2  # the connectivity check and the answer's profit
+        assert calls == 1  # the same pricer prices the complete cut
     assert len(rounds) >= 4

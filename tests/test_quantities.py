@@ -31,7 +31,8 @@ def test_parse_basic():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "-1", "+2", "1.2345678", "1e3", "one", "1.2.3", "²", "1.²"]
+    "bad",
+    ["", "-1", "+2", "1.2345678", "1e3", "one", "1.2.3", "²", "1.²", ".", "\u0663", "1_0"],
 )
 def test_parse_rejects(bad):
     with pytest.raises(QuantityParseError):
