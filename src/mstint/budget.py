@@ -214,12 +214,15 @@ def _run_greedy(
     return frozenset(removed), GreedyTrace(tuple(rounds), budget, outcome)
 
 
-def global_cut_candidate(g: Graph) -> tuple[int, frozenset[int]] | None:
-    """(cost, edges) of a finite, nonempty global min cut, or None."""
+def global_cut_candidate(
+    g: Graph, below: int | None = None
+) -> tuple[int, frozenset[int]] | None:
+    """(cost, edges) of a finite, nonempty global min cut, or None; with
+    `below`, None also when the cut costs `below` or more."""
     if g.n_vertices < 2:
         return None
-    cut = global_min_cut(g)
-    if not cut.cost.is_finite or not cut.edges:
+    cut = global_min_cut(g, below)
+    if cut is None or not cut.cost.is_finite or not cut.edges:
         return None
     return cut.cost.units, cut.edges
 
@@ -243,11 +246,13 @@ def _finish(
     pricer: TreePricer, greedy_result: tuple[frozenset[int], GreedyTrace] | None
 ) -> InterdictionSolution:
     g = pricer.g
-    fallback = global_cut_candidate(g)
-    if greedy_result is not None:
+    if greedy_result is None:
+        fallback = global_cut_candidate(g)
+    else:
         edges, trace = greedy_result
-        cost = checked_sum(g.edges[i].cost for i in edges)
-        if fallback is None or cost <= fallback[0]:
+        # the fallback wins only when strictly cheaper than the greedy
+        fallback = global_cut_candidate(g, checked_sum(g.edges[i].cost for i in edges))
+        if fallback is None:
             return make_solution(
                 pricer, edges, cuts=tuple(r.cut for r in trace.rounds), trace=trace
             )

@@ -206,16 +206,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a generated instance to stdout")
     gen_sub = p.add_subparsers(dest="family", required=True)
     pr = gen_sub.add_parser("random")
-    pr.add_argument("--seed", type=int, required=True)
-    pr.add_argument("--n", type=int, required=True)
-    pr.add_argument("--m", type=int, required=True)
-    pr.add_argument("--max-weight", type=int, default=100)
-    pr.add_argument("--max-cost", type=int, default=100)
+    pr.add_argument("--seed", type=parse_digits, required=True)
+    pr.add_argument("--n", type=parse_digits, required=True)
+    pr.add_argument("--m", type=parse_digits, required=True)
+    pr.add_argument("--max-weight", type=parse_digits, default=100)
+    pr.add_argument("--max-cost", type=parse_digits, default=100)
     pr.set_defaults(func=_cmd_gen)
     pb = gen_sub.add_parser("bad")
-    pb.add_argument("--heavy-weight", type=int, default=100)
-    pb.add_argument("--removals", type=int, default=4)
-    pb.add_argument("--components", type=int, default=5)
+    pb.add_argument("--heavy-weight", type=parse_digits, default=100)
+    pb.add_argument("--removals", type=parse_digits, default=4)
+    pb.add_argument("--components", type=parse_digits, default=5)
     pb.set_defaults(func=_cmd_gen)
     return parser
 

@@ -5,7 +5,10 @@ decides which edges participate at all.  Infinity-cost edges are modeled as
 uncuttable (capacity above any finite cut).  A minimum s-t cut is canonical:
 the source side is the residual-reachability set after a maximum flow, which
 is the unique source-side-minimal minimum cut.  The global minimum cut needs
-no flow: it is Stoer-Wagner's maximum-adjacency contraction.
+no flow: maximum-adjacency passes contract every edge that no cut cheaper
+than the best one found can cross (Nagamochi and Ibaraki 1992), and
+Padberg and Rinaldi's test 2 contracts between passes.  Given a bound, it
+looks only for a cut strictly below it.
 """
 from __future__ import annotations
 
@@ -15,7 +18,6 @@ from heapq import heappop, heappush
 from typing import Callable
 
 from .graph import Edge, Graph
-from .mst import UnionFind
 from .quantities import (
     INFINITY,
     ZERO,
@@ -168,12 +170,14 @@ def min_st_cut(
     return result
 
 
-def global_min_cut(g: Graph) -> CutResult:
-    """Minimum-cost complete cut (Stoer and Wagner 1997), in exact integers.
+def global_min_cut(g: Graph, below: int | None = None) -> CutResult | None:
+    """Minimum-cost complete cut, in exact integers.
 
-    Infinite-cost edges get a capacity above any finite cut.  On a
-    disconnected graph the component of vertex 0 is the zero-cost side.
-    The returned side contains vertex 0.
+    With `below` set, the cut is returned only when it costs strictly less
+    than `below` units; otherwise the result is None.  Infinite-cost edges
+    get a capacity above any finite cut.  On a disconnected graph the
+    component of vertex 0 is the zero-cost side.  The returned side
+    contains vertex 0.
     """
     n = g.n_vertices
     if n < 2:
@@ -193,64 +197,126 @@ def global_min_cut(g: Graph) -> CutResult:
                 seen.add(v)
                 stack.append(v)
     if len(seen) < n:
-        return _cut_of_side(g, participating, seen)
-    value, side = _stoer_wagner(adj)
+        return _cut_of_side(g, participating, seen) if below is None or below > 0 else None
+    # no cut costs more than big * m, and one of `big` or more crosses an
+    # infinite-cost edge, so it is never below a finite bound
+    found = _contract_min_cut(adj, big * g.n_edges + 1 if below is None else min(below, big))
+    if found is None:
+        return None
+    value, members = found
+    side = set(members)
     if 0 not in side:
         side = set(range(n)) - side
     result = _cut_of_side(g, participating, side)
     if result.cost != (INFINITY if value >= big else finite(value)):
-        raise GuaranteeError(
-            f"cut cost {result.cost} differs from its Stoer-Wagner phase value"
-        )
+        raise GuaranteeError(f"cut cost {result.cost} differs from its contraction value")
     return result
 
 
-def _stoer_wagner(adj: list[dict[int, int]]) -> tuple[int, set[int]]:
-    """Minimum cut value and one side of a connected capacity graph.
+def _contract_min_cut(
+    adj: list[dict[int, int]], bound: int
+) -> tuple[int, list[int]] | None:
+    """Value and one side of the cheapest cut of a connected capacity graph
+    that costs less than `bound`, or None when every cut costs `bound` or
+    more.  `adj` is consumed.
 
-    Each phase grows a maximum-adjacency order with a lazy max-heap (ties
-    to the lower vertex); the last two vertices are then merged.  `adj`
-    is consumed.
+    The graph is contracted while it is ordered (Nagamochi and Ibaraki
+    1992).  λ̂ is the cheapest cut offered so far, or `bound`; every vertex
+    degree, trivial or merged, is offered as a cut.  An edge is contracted
+    only when no cut through it can be cheaper than both λ̂ and the cuts that
+    do not separate its ends, so the cheapest cut below `bound` survives as
+    an offered degree.
     """
     n = len(adj)
-    added = [-1] * n  # phase in which the vertex joined the order
-    merges: list[tuple[int, int]] = []
-    best: tuple[int, int, int] | None = None  # (value, phase, last vertex)
-    start = 0
-    for phase in range(n - 1):
+    parent = list(range(n))  # a contracted vertex -> the vertex it joined
+    members = [[v] for v in range(n)]
+    deg = [sum(a.values()) for a in adj]
+    lam = bound
+    # (member list, length) of the cheapest cut: member lists are only ever
+    # appended to, so a prefix of one stays the side it was when offered
+    best: tuple[list[int], int] | None = None
+    alive = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def offer(v: int) -> None:
+        nonlocal lam, best
+        if deg[v] < lam:
+            lam = deg[v]
+            best = (members[v], len(members[v]))
+
+    def merge(a: int, b: int) -> None:
+        """Contract the edge between vertices a and b, offering the result."""
+        if len(adj[a]) < len(adj[b]):
+            a, b = b, a
+        kept = adj[a]
+        between = kept.pop(b, 0)
+        for x, capacity in adj[b].items():
+            if x != a:
+                kept[x] = kept.get(x, 0) + capacity
+                neighbour = adj[x]
+                del neighbour[b]
+                neighbour[a] = neighbour.get(a, 0) + capacity
+        adj[b] = {}
+        parent[b] = a
+        deg[a] += deg[b] - 2 * between
+        small, large = sorted((members[a], members[b]), key=len)
+        large.extend(small)
+        members[a] = large
+        if len(large) < n:
+            offer(a)
+
+    for v in alive:
+        offer(v)
+    added = [-1] * n  # the pass in which a vertex joined the order
+    passes = 0
+    while len(alive) > 1:
+        # Padberg and Rinaldi's test 2, one edge at a time so that each test
+        # reads current degrees: when 2·c(a, b) >= d(a), a cut separating a
+        # from b costs no less than the same cut with a moved to b's side,
+        # unless it is {a} alone, whose cost d(a) was offered
+        for v in alive:
+            for x in list(adj[v]):
+                a, b = find(v), find(x)
+                if a != b and 2 * adj[a][b] >= min(deg[a], deg[b]):
+                    merge(a, b)
+        alive = [v for v in alive if parent[v] == v]
+        if len(alive) == 1:
+            break
+        # one maximum-adjacency pass: when v is scanned, key[w] <= λ(v, w)
+        # (Nagamochi and Ibaraki), so an edge whose key reaches λ̂ is
+        # contracted; the last vertex's key is its degree and equals
+        # λ(prev, last), so once it is offered the last two are merged
         key: dict[int, int] = {}
-        heap = [(0, start)]
-        prev = last = start
-        value = 0
+        heap = [(0, alive[0])]
+        marked: list[tuple[int, int]] = []
+        prev = last = alive[0]
         while heap:
-            neg_key, v = heappop(heap)
-            if added[v] == phase:
+            _, v = heappop(heap)
+            if added[v] == passes:
                 continue
-            added[v] = phase
-            prev, last, value = last, v, -neg_key
+            added[v] = passes
+            prev, last = last, v
             for x, capacity in adj[v].items():
-                if added[x] != phase:
+                if added[x] != passes:
                     k = key.get(x, 0) + capacity
                     key[x] = k
+                    if k >= lam:
+                        marked.append((v, x))
                     heappush(heap, (-k, x))
-        # the phase's cut: `last` (with all merged into it) against the rest
-        if best is None or value < best[0]:
-            best = (value, phase, last)
-        keep, gone = (prev, last) if len(adj[prev]) >= len(adj[last]) else (last, prev)
-        merged = adj[keep]
-        merged.pop(gone, None)
-        for x, capacity in adj[gone].items():
-            if x != keep:
-                merged[x] = merged.get(x, 0) + capacity
-                neighbour = adj[x]
-                del neighbour[gone]
-                neighbour[keep] = neighbour.get(keep, 0) + capacity
-        adj[gone] = {}
-        merges.append((keep, gone))
-        start = keep
-    value, phase, last = best
-    groups = UnionFind(n)
-    for keep, gone in merges[:phase]:
-        groups.union(keep, gone)
-    root = groups.find(last)
-    return value, {v for v in range(n) if groups.find(v) == root}
+        passes += 1
+        offer(last)
+        marked.append((prev, last))
+        for v, x in marked:
+            a, b = find(v), find(x)
+            if a != b:
+                merge(a, b)
+        alive = [v for v in alive if parent[v] == v]
+    if best is None:
+        return None
+    side, size = best
+    return lam, side[:size]

@@ -117,8 +117,15 @@ def eps_increase(g: Graph) -> InterdictionSolution:
 
     best: tuple[CutResult, PartialCutSpec] | None = None
     for inst in class_components(g):
-        cut = global_min_cut(inst.aux)
-        if cut.cost == INFINITY or (best is not None and cut.cost >= best[0].cost):
+        if best is None:
+            cut = global_min_cut(inst.aux)
+        else:
+            below = best[0].cost.units
+            # every cut of a connected component holds one of its edges
+            if all(e.cost is None or e.cost >= below for e in inst.aux.edges):
+                continue
+            cut = global_min_cut(inst.aux, below)
+        if cut is None or cut.cost == INFINITY:
             continue
         best = (cut, inst.realize(g, cut))
 

@@ -55,8 +55,8 @@ def profit_approximate(g: Graph, budget: int) -> InterdictionSolution:
     if budget <= 0:
         raise ValueError("budget must be positive")
     pricer = TreePricer(g)  # raises on a disconnected graph
-    complete = global_cut_candidate(g)
-    if complete is not None and complete[0] <= budget:
+    complete = global_cut_candidate(g, budget + 1)
+    if complete is not None:
         return make_solution(pricer, complete[1])
     memo = CutMemo(g)
     single_cut, single_profit = best_single_cut(pricer, budget, memo)

@@ -148,3 +148,40 @@ def max_tree_complement(g: Graph) -> frozenset[int]:
             keep.add(i)
             label = [a if x == b else x for x in label]
     return frozenset(range(g.n_edges)) - keep
+
+
+def stoer_wagner_cost(g: Graph) -> ExtendedValue:
+    """Global minimum cut cost by Stoer and Wagner 1997: n - 1 full
+    maximum-adjacency phases, each merging its last two vertices.  The
+    reference for `cuts.global_min_cut`; a disconnected graph costs 0."""
+    n = g.n_vertices
+    big = sum(e.cost for e in g.edges if e.cost is not None) + 1
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for e in g.edges:
+        capacity = big if e.cost is None else e.cost
+        adj[e.u][e.v] = adj[e.u].get(e.v, 0) + capacity
+        adj[e.v][e.u] = adj[e.v].get(e.u, 0) + capacity
+    if len(brute_components(g)) > 1:
+        return finite(0)
+    alive = list(range(n))
+    best = None
+    while len(alive) > 1:
+        key = {v: 0 for v in alive}
+        order = []
+        while key:
+            v = max(key, key=lambda x: (key[x], -x))
+            value = key.pop(v)
+            order.append(v)
+            for x, capacity in adj[v].items():
+                if x in key:
+                    key[x] += capacity
+        best = value if best is None else min(best, value)
+        keep, gone = order[-2], order[-1]
+        for x, capacity in adj[gone].items():
+            if x != keep:
+                adj[keep][x] = adj[keep].get(x, 0) + capacity
+                adj[x][keep] = adj[x].get(keep, 0) + capacity
+            del adj[x][gone]
+        adj[gone] = {}
+        alive.remove(gone)
+    return INFINITY if best >= big else finite(best)

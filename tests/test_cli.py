@@ -65,8 +65,9 @@ def test_eps_increase(capsys, t3_file):
 
 def test_eps_increase_large_unit_cycle(capsys, tmp_path):
     # every vertex in one class: a recursive flow DFS this deep used to end
-    # in RecursionError; the -O run shows no check relies on `assert`
-    n = 1200
+    # in RecursionError, and a global min cut with one pass per vertex
+    # takes seconds here; the -O run shows no check relies on `assert`
+    n = 5000
     path = tmp_path / "cycle.txt"
     path.write_text(f"{n} {n}\n" + "".join(f"{i} {(i + 1) % n} 1 1\n" for i in range(n)))
     code, out, _ = run(capsys, ["eps-increase", str(path), "--json"])
@@ -81,9 +82,9 @@ def test_guarantee_error_exits_1(capsys, monkeypatch, t3_file):
     # a class cut whose edges disagree with its side fails the realize check
     real = eps.global_min_cut
 
-    def edgeless(aux):
-        cut = real(aux)
-        return CutResult(cut.side, frozenset(), cut.cost)
+    def edgeless(aux, below=None):
+        cut = real(aux, below)
+        return cut and CutResult(cut.side, frozenset(), cut.cost)
 
     monkeypatch.setattr(eps, "global_min_cut", edgeless)
     code, _, err = run(capsys, ["eps-increase", t3_file])
@@ -92,9 +93,10 @@ def test_guarantee_error_exits_1(capsys, monkeypatch, t3_file):
 
 
 def test_budget_large_cycle(capsys, tmp_path):
-    # a 1200-vertex cycle: the flow's augmenting paths run around it, which
-    # a recursive depth-first search could not follow
-    n = 1200
+    # a 2000-vertex cycle: the flow's augmenting paths run around it, which
+    # a recursive depth-first search could not follow, and the fallback's
+    # global min cut must not take one pass per vertex
+    n = 2000
     path = tmp_path / "cycle.txt"
     path.write_text(
         f"{n} {n}\n"
@@ -350,6 +352,24 @@ def test_gen_bad(capsys, tmp_path):
     p.write_text(out)
     code, out, _ = run(capsys, ["mst", str(p), "--json"])
     assert json.loads(out)["weight"] == "101"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "random", "--seed", "1_0", "--n", "5", "--m", "6"],
+        ["gen", "random", "--seed", "1", "--n", "\u0665", "--m", "6"],
+        ["gen", "random", "--seed", "1", "--n", "5", "--m", "+6"],
+        ["gen", "random", "--seed", "1", "--n", "5", "--m", "6", "--max-cost", " 9"],
+        ["gen", "bad", "--removals", "-4"],
+        ["gen", "bad", "--components", "\u0665"],
+    ],
+)
+def test_gen_options_take_ascii_digits_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
 
 
 def test_input_errors(capsys, tmp_path, t3_file):

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from conftest import brute_components, brute_min_st_cut_cost, brute_min_st_cut_sides
+from conftest import (
+    brute_components,
+    brute_min_st_cut_cost,
+    brute_min_st_cut_sides,
+    stoer_wagner_cost,
+)
 from mstint.cuts import global_min_cut, min_st_cut
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
@@ -105,3 +110,74 @@ def test_global_min_cut_matches_bruteforce():
         disconnected += len(brute_components(g)) > 1
         infinite += cut.cost == INFINITY
     assert disconnected >= 20 and infinite >= 20
+
+
+def differential_graphs():
+    """About 300 seeded graphs for the global min cut: random multigraphs
+    with `inf` costs, parallel edges and disconnected cases, then cycles,
+    grids and two to four dense parts joined by a few light edges."""
+    rng = random.Random(19)
+    for seed in range(220):
+        n = 2 + seed % 24
+        edges = []
+        for _ in range(rng.randint(0, 4 * n)):
+            u, v = rng.sample(range(n), 2)
+            edges.append(Edge(u, v, 0, None if rng.random() < 0.3 else rng.randint(1, 9)))
+        for e in rng.sample(edges, min(3, len(edges))):
+            edges.append(Edge(e.v, e.u, 0, rng.randint(1, 9)))
+        yield Graph(n, tuple(edges))
+    for n in range(3, 23):
+        costs = [1] * n if n % 2 else [rng.randint(1, 5) for _ in range(n)]
+        yield Graph(n, tuple(Edge(i, (i + 1) % n, 0, costs[i]) for i in range(n)))
+    for rows in range(2, 7):
+        for cols in range(rows, rows + 4):
+            def at(r, c):
+                return r * cols + c
+            edges = [Edge(at(r, c), at(r, c + 1), 0, 1) for r in range(rows) for c in range(cols - 1)]
+            edges += [Edge(at(r, c), at(r + 1, c), 0, 1) for r in range(rows - 1) for c in range(cols)]
+            yield Graph(rows * cols, tuple(edges))
+    for k in range(40):
+        # dense parts joined by light edges: the min cut is below every degree
+        sizes = [rng.randint(2, 10) for _ in range(2 + k % 3)]
+        starts = [sum(sizes[:i]) for i in range(len(sizes))]
+        edges = []
+        for base, size in zip(starts, sizes):
+            for i in range(size):
+                for j in range(i + 1, size):
+                    edges.append(Edge(base + i, base + j, 0, rng.randint(3, 9)))
+        for a, b in zip(range(len(sizes)), range(1, len(sizes))):
+            for _ in range(rng.randint(1, 3)):
+                u = starts[a] + rng.randrange(sizes[a])
+                v = starts[b] + rng.randrange(sizes[b])
+                edges.append(Edge(u, v, 0, rng.randint(1, 4)))
+        yield Graph(sum(sizes), tuple(edges))
+
+
+def test_global_min_cut_matches_stoer_wagner():
+    disconnected = infinite = cycles = 0
+    graphs = list(differential_graphs())
+    assert len(graphs) >= 300
+    for k, g in enumerate(graphs):
+        expected = stoer_wagner_cost(g)
+        cut = global_min_cut(g)
+        assert cut.cost == expected, k
+        assert 0 in cut.side and len(cut.side) < g.n_vertices
+        crossing = [e for e in g.edges if (e.u in cut.side) != (e.v in cut.side)]
+        if any(e.cost is None for e in crossing):
+            assert expected == INFINITY, k
+        else:
+            assert finite(sum(e.cost for e in crossing)) == expected, k
+        total = sum(e.cost for e in g.edges if e.cost is not None)
+        belows = {0, 1, total + 1}
+        if expected.is_finite:
+            belows |= {expected.units - 1, expected.units, expected.units + 1}
+        for below in belows:
+            found = global_min_cut(g, below)
+            if expected < finite(below):
+                assert found is not None and found.cost == expected, (k, below)
+            else:
+                assert found is None, (k, below)
+        disconnected += len(brute_components(g)) > 1
+        infinite += expected == INFINITY
+        cycles += len(g.edges) == g.n_vertices
+    assert disconnected >= 20 and infinite >= 20 and cycles >= 20

@@ -3,7 +3,7 @@
 The reference here is the per-tree-edge flow method: for each MST edge,
 contract every lighter edge, drop every heavier one, and take minimum s-t
 cuts with the public max-flow engine.  The library's weight-class sweep
-with Stoer-Wagner global minimum cuts must agree with it exactly.
+with bound-pruned global minimum cuts must agree with it exactly.
 """
 from __future__ import annotations
 

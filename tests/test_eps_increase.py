@@ -63,6 +63,16 @@ def test_matches_oracle_on_random_instances():
         assert sol.profit == prim_mst_weight(g, sol.edges) - prim_mst_weight(g)
 
 
+@pytest.mark.parametrize("max_weight", [0, 3])
+def test_eps_increase_5000_vertices_few_weights(max_weight):
+    # few distinct weights put most of the graph into one class component;
+    # no nonempty removal set costs less than the cheapest edge
+    g = gen_random(1, 5000, 20000, max_weight, 10)
+    sol = eps_increase(g)
+    assert sol.cost == min(e.cost for e in g.edges)
+    assert prim_mst_weight(g, sol.edges) > prim_mst_weight(g)
+
+
 def class_component_count(g: Graph) -> int:
     """Components with >= 2 vertices of each tree weight's auxiliary graph,
     rebuilt from scratch per weight: G with lighter edges contracted."""
@@ -86,16 +96,17 @@ def test_one_global_min_cut_per_class_component(monkeypatch):
     calls = []
     real = eps.global_min_cut
 
-    def counting(g):
+    def counting(g, below=None):
         calls.append(g)
-        return real(g)
+        return real(g, below)
 
     monkeypatch.setattr(eps, "global_min_cut", counting)
     for seed in (1, 5, 9):
         g = gen_random(seed, 7, 12, 5, 5)
         calls.clear()
         eps_increase(g)
-        assert len(calls) == class_component_count(g)
+        # a component whose every edge costs at least the best cut is skipped
+        assert 1 <= len(calls) <= class_component_count(g)
     # a unit-weight cycle is one class with one component
     cycle = Graph(5, tuple(Edge(i, (i + 1) % 5, 1, 1) for i in range(5)))
     calls.clear()
