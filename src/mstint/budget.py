@@ -5,19 +5,28 @@ cut is the canonical minimum u-v cut (u, v the ends of e) over the
 participating set P = {i alive : w_i < W}, and its claimed gain is
 W - w(e).  `best_ratio_cut` returns the best gain/cost cut whose cost fits
 in an allowance: the live budget greedy passes its budget guess, the profit
-greedy what is left of its hard budget.  Two devices cut the number of
+greedy what is left of its hard budget.  Four devices cut the number of
 max-flows without changing any answer:
 
 - `CutMemo` keeps the cuts of one top-level call per (threshold, P): one
   table for the input graph's P and one for the latest other P.  A greedy
   round removes only edges lighter than its own threshold, so most
   thresholds keep their P, and their cuts, from round to round and from one
-  budget guess to the next.
+  budget guess to the next.  Each table builds one flow network over its P,
+  at its first miss, and every flow of the table runs on it.
 - For W > w(e), e itself lies in P and joins u and v, so every u-v cut costs
   at least c(e) and the pair's ratio is at most (W - w(e)) / c(e).  The scan
   visits pairs in descending order of that bound and takes a cut only while
   the bound can still beat the best cut found so far; the order of `_better`
   is total, so the best cut is the same as that of a scan over every pair.
+- On a memo miss, a cut of cost v0 that the pair had over an earlier set P0
+  bounds its cut over P from below by v0 - c(P0∖P) (`CutTable`).  The scan
+  skips the pair, with no flow, when that bound is over the allowance or
+  strictly below the best ratio, so a pair that could tie is still cut.
+- With the live set fixed, P at W lies inside P at any W' > W, so a pair's
+  cut only grows with the threshold.  `profit.best_single_cut` visits each
+  edge's thresholds in ascending order and stops at the first cut over the
+  budget.
 
 `_run_greedy` is the one ratio-greedy loop of the package; budget and profit
 differ only in when it stops.  `budget_approximate` is the paper's
@@ -32,12 +41,19 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import Sequence
 
-from .cuts import CutResult, global_min_cut, min_st_cut
+from .cuts import CutNetwork, CutResult, global_min_cut, min_st_cut
 from .graph import Graph
 from .mst import TreePricer, partial_cut
-from .quantities import InputError, checked_sum, finite, log2_bounds
+from .quantities import (
+    INFINITY,
+    ExtendedValue,
+    InputError,
+    checked_sum,
+    finite,
+    log2_bounds,
+)
 from .solution import GreedyRound, GreedyTrace, InterdictionSolution, make_solution
 
 
@@ -72,12 +88,58 @@ def _better(a: ScoredCut, b: ScoredCut | None) -> bool:
     return (a.cost, a.edge, a.threshold) < (b.cost, b.edge, b.threshold)
 
 
+class CutTable:
+    """Memoized minimum u-v cuts over one participating set P at one
+    threshold, on one flow network over P built at the first miss.
+
+    `stale` holds (cuts, c(P0∖P)) for earlier tables over sets P0 of the
+    same graph.  A u-v cut C over P, less its edges outside P0, plus P0∖P
+    separates u from v over P0, so a stale cut of cost v0 gives
+    c(C) >= v0 - c(P0∖P), whether or not P lies inside P0.
+    """
+
+    def __init__(
+        self,
+        g: Graph,
+        participating: frozenset[int],
+        stale: Sequence[tuple[dict[tuple[int, int], CutResult], int]] = (),
+    ):
+        self.g = g
+        self.participating = participating
+        self.cuts: dict[tuple[int, int], CutResult] = {}
+        self.stale = stale
+        self._network: CutNetwork | None = None
+
+    def cut(self, u: int, v: int) -> CutResult:
+        result = self.cuts.get((u, v))
+        if result is None:
+            if self._network is None:
+                participating = self.participating
+                self._network = CutNetwork(self.g, lambda i, _e: i in participating)
+            result = self.cuts[u, v] = min_st_cut(self._network, u, v)
+        return result
+
+    def lower_bound(self, u: int, v: int) -> ExtendedValue:
+        """A lower bound on the u-v cut over P from the stale cuts, with no
+        flow; ZERO when no stale table has cut the pair."""
+        bound = 0
+        for cuts, dropped in self.stale:
+            old = cuts.get((u, v))
+            if old is not None:
+                if not old.cost.is_finite:
+                    return INFINITY
+                bound = max(bound, old.cost.units - dropped)
+        return finite(bound)
+
+
 class CutMemo:
     """Minimum u-v cuts of one graph, kept for one top-level call.
 
-    Per threshold W it holds two tables (u, v) -> `CutResult`: one for the
-    input graph's participating set {i : w_i < W} and one for the latest
-    other set asked for.  Nothing outlives the memo.
+    Per threshold W it holds two `CutTable`s: one for the input graph's
+    participating set {i : w_i < W} and one for the latest other set asked
+    for.  A new latest table takes its stale cuts from the base table and
+    from the table it replaces, of which it keeps only the cuts, so no chain
+    of older tables stays in memory.  Nothing outlives the memo.
     """
 
     def __init__(self, g: Graph):
@@ -85,10 +147,8 @@ class CutMemo:
         self.weights = g.distinct_weights()
         self._by_weight = [i for i, _, _ in g.kruskal_order]
         self._sorted_weights = [g.edges[i].weight for i in self._by_weight]
-        # W -> (participating set, its table): the input graph's set and the
-        # latest other one
-        self._base: dict[int, tuple[frozenset[int], dict]] = {}
-        self._latest: dict[int, tuple[frozenset[int], dict]] = {}
+        self._base: dict[int, CutTable] = {}
+        self._latest: dict[int, CutTable] = {}
 
     @cached_property
     def pairs(self) -> list[tuple[int, int]]:
@@ -109,34 +169,29 @@ class CutMemo:
         keyed.sort()
         return [(i, w_threshold) for _, _, i, w_threshold in keyed]
 
-    def cuts_at(
-        self, threshold: int, alive: set[int] | None
-    ) -> Callable[[int, int], CutResult]:
-        """Memoized min u-v cut over {i in alive : w_i < threshold}; `alive`
-        None stands for every edge of the graph."""
+    def table(self, threshold: int, alive: set[int] | None) -> CutTable:
+        """The table over {i in alive : w_i < threshold}; `alive` None
+        stands for every edge of the graph."""
         lighter = self._by_weight[: bisect_left(self._sorted_weights, threshold)]
         base = self._base.get(threshold)
         if base is None:
-            base = self._base[threshold] = (frozenset(lighter), {})
-        participating, table = base
-        if alive is not None and len(alive) < self.g.n_edges:
-            current = frozenset(i for i in lighter if i in alive)
-            if current != participating:
-                latest = self._latest.get(threshold)
-                if latest is None or latest[0] != current:
-                    latest = self._latest[threshold] = (current, {})
-                participating, table = latest
-        g = self.g
-
-        def cut(u: int, v: int) -> CutResult:
-            result = table.get((u, v))
-            if result is None:
-                result = table[u, v] = min_st_cut(
-                    g, u, v, lambda i, _e: i in participating
-                )
-            return result
-
-        return cut
+            base = self._base[threshold] = CutTable(self.g, frozenset(lighter))
+        if alive is None or len(alive) == self.g.n_edges:
+            return base
+        current = frozenset(i for i in lighter if i in alive)
+        if current == base.participating:
+            return base
+        latest = self._latest.get(threshold)
+        if latest is not None and latest.participating == current:
+            return latest
+        stale = []
+        for old in (base, latest):
+            if old is not None:
+                dropped = [self.g.edges[i].cost for i in old.participating - current]
+                if None not in dropped:
+                    stale.append((old.cuts, sum(dropped)))
+        table = self._latest[threshold] = CutTable(self.g, current, stale)
+        return table
 
 
 def best_ratio_cut(memo: CutMemo, alive: set[int], room: int) -> ScoredCut | None:
@@ -144,7 +199,7 @@ def best_ratio_cut(memo: CutMemo, alive: set[int], room: int) -> ScoredCut | Non
     pairs of the memo's graph, under the total order of `_better`."""
     g = memo.g
     best: ScoredCut | None = None
-    cuts_at: dict[int, Callable[[int, int], CutResult]] = {}
+    tables: dict[int, CutTable] = {}
     for edge_idx, w_threshold in memo.pairs:
         e = g.edges[edge_idx]
         if edge_idx not in alive or e.cost > room:
@@ -161,10 +216,19 @@ def best_ratio_cut(memo: CutMemo, alive: set[int], room: int) -> ScoredCut | Non
                 best.threshold,
             ):
                 continue
-        cut_of = cuts_at.get(w_threshold)
-        if cut_of is None:
-            cut_of = cuts_at[w_threshold] = memo.cuts_at(w_threshold, alive)
-        cut = cut_of(e.u, e.v)
+        table = tables.get(w_threshold)
+        if table is None:
+            table = tables[w_threshold] = memo.table(w_threshold, alive)
+        cut = table.cuts.get((e.u, e.v))
+        if cut is None:
+            # no flow for a pair that a stale cut shows to be over the room
+            # or strictly below the best ratio
+            bound = table.lower_bound(e.u, e.v)
+            if not bound.is_finite or bound.units > room:
+                continue
+            if best is not None and gain * best.cost < best.gain * max(e.cost, bound.units):
+                continue
+            cut = table.cut(e.u, e.v)
         if not cut.cost.is_finite or cut.cost.units > room:
             continue
         cand = ScoredCut(

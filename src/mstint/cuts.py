@@ -4,7 +4,9 @@ Cuts are always taken with respect to edge removal COSTS; a filter predicate
 decides which edges participate at all.  Infinity-cost edges are modeled as
 uncuttable (capacity above any finite cut).  A minimum s-t cut is canonical:
 the source side is the residual-reachability set after a maximum flow, which
-is the unique source-side-minimal minimum cut.  The global minimum cut needs
+is the unique source-side-minimal minimum cut.  A `CutNetwork` builds the
+flow network over the participating edges once; each `min_st_cut` on it
+restores the base capacities and runs one flow.  The global minimum cut needs
 no flow: maximum-adjacency passes contract every edge that no cut cheaper
 than the best one found can cross (Nagamochi and Ibaraki 1992), and
 Padberg and Rinaldi's test 2 contracts between passes.  Given a bound, it
@@ -122,22 +124,33 @@ class _FlowNet:
         return seen
 
 
-def _build_net(
-    g: Graph, edge_filter: EdgeFilter | None
-) -> tuple[_FlowNet, list[int], int]:
-    participating = [
-        i
-        for i, e in enumerate(g.edges)
-        if edge_filter is None or edge_filter(i, e)
-    ]
-    edges = [g.edges[i] for i in participating]
-    # costs are positive, so the total bounds every partial sum
-    big = check_quantity(sum(e.cost for e in edges if e.cost is not None)) + 1
-    net = _FlowNet(
-        g.n_vertices,
-        [(e.u, e.v, big if e.cost is None else e.cost) for e in edges],
-    )
-    return net, participating, big
+class CutNetwork:
+    """One flow network over the participating edges of a graph, built once
+    and reset to its base capacities before each flow."""
+
+    def __init__(self, g: Graph, edge_filter: EdgeFilter | None = None):
+        self.g = g
+        self.participating = [
+            i
+            for i, e in enumerate(g.edges)
+            if edge_filter is None or edge_filter(i, e)
+        ]
+        edges = [g.edges[i] for i in self.participating]
+        # costs are positive, so the total bounds every partial sum
+        self.big = check_quantity(sum(e.cost for e in edges if e.cost is not None)) + 1
+        self.flows = _FlowNet(
+            g.n_vertices,
+            [(e.u, e.v, self.big if e.cost is None else e.cost) for e in edges],
+        )
+        self.base_cap = self.flows.cap[:]
+
+    @property
+    def n_vertices(self) -> int:
+        return self.g.n_vertices
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.participating)
 
 
 def _cut_of_side(g: Graph, participating: list[int], side: set[int]) -> CutResult:
@@ -149,24 +162,23 @@ def _cut_of_side(g: Graph, participating: list[int], side: set[int]) -> CutResul
     return CutResult(frozenset(side), frozenset(crossing), cost)
 
 
-def min_st_cut(
-    g: Graph, s: int, t: int, edge_filter: EdgeFilter | None = None
-) -> CutResult:
-    """Minimum-cost cut separating s from t over the participating edges."""
+def min_st_cut(net: CutNetwork, s: int, t: int) -> CutResult:
+    """Minimum-cost cut separating s from t over the network's edges."""
     if s == t:
         raise ValueError("s and t must differ")
-    net, participating, big = _build_net(g, edge_filter)
-    flow = net.max_flow(s, t)
-    side = net.residual_reachable(s)
-    result = _cut_of_side(g, participating, side)
+    flows = net.flows
+    flows.cap[:] = net.base_cap
+    flow = flows.max_flow(s, t)
+    side = flows.residual_reachable(s)
+    result = _cut_of_side(net.g, net.participating, side)
     # strong duality: the flow value must equal the cut cost
     if result.cost.is_finite:
         if flow != result.cost.units:
             raise GuaranteeError(
                 f"max-flow {flow} differs from its min-cut cost {result.cost.units}"
             )
-    elif flow < big:
-        raise GuaranteeError(f"infinite min cut with flow {flow} below {big}")
+    elif flow < net.big:
+        raise GuaranteeError(f"infinite min cut with flow {flow} below {net.big}")
     return result
 
 

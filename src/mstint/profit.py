@@ -25,15 +25,19 @@ def best_single_cut(
     g = pricer.g
     # no edge is lighter than the lightest weight, so every cut there is empty
     thresholds = memo.weights[1:]
-    cuts_at = {w_threshold: memo.cuts_at(w_threshold, None) for w_threshold in thresholds}
+    tables = {w_threshold: memo.table(w_threshold, None) for w_threshold in thresholds}
     best_cut: PartialCutSpec | None = None
     best_profit = ZERO
     for e in g.edges:
+        # thresholds ascend and P only grows with them, so a pair's cut
+        # only grows: once it is over budget, so are all above it
         for w_threshold in thresholds:
             if w_threshold > e.weight and (e.cost is None or e.cost > budget):
-                continue  # e crosses every u-v cut at this threshold
-            cut = cuts_at[w_threshold](e.u, e.v)
-            if not cut.edges or not cut.cost.is_finite or cut.cost.units > budget:
+                break  # e crosses every u-v cut at this threshold and above
+            cut = tables[w_threshold].cut(e.u, e.v)
+            if not cut.cost.is_finite or cut.cost.units > budget:
+                break
+            if not cut.edges:
                 continue
             value = pricer.price(cut.edges)
             if value > best_profit:

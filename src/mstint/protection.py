@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .eps import eps_increase
 from .graph import Candidate, Edge, Graph
@@ -81,7 +83,7 @@ def protect(inst: ProtectionInstance) -> tuple[frozenset[int], OptimalCutListing
     sol = eps_increase(g)
     before = sol.cost
     cuts: list[PartialCutSpec] = []
-    coverage: list[set[int]] = [set() for _ in inst.candidates]
+    coverage = [0] * len(inst.candidates)  # bit j set: covers cut j
     chosen: frozenset[int] = frozenset()
     while sol.cost == before:
         (found,) = sol.cuts
@@ -99,7 +101,7 @@ def protect(inst: ProtectionInstance) -> tuple[frozenset[int], OptimalCutListing
                 "vertices is not coverable by any candidate"
             )
         for i in covering:
-            coverage[i].add(len(cuts))
+            coverage[i] |= 1 << len(cuts)
         cuts.append(cut)
         chosen = _greedy_cover(inst.candidates, coverage, len(cuts))
         g = inst.augmented(chosen)
@@ -110,24 +112,32 @@ def protect(inst: ProtectionInstance) -> tuple[frozenset[int], OptimalCutListing
 
 
 def _greedy_cover(
-    candidates: tuple[Candidate, ...], coverage: list[set[int]], n_cuts: int
+    candidates: tuple[Candidate, ...], coverage: list[int], n_cuts: int
 ) -> frozenset[int]:
-    """Cheapest build cost per newly covered cut first, ties to the lower index."""
-    uncovered = set(range(n_cuts))
+    """Cheapest build cost per newly covered cut first, ties to the lower
+    index.  Bit j of coverage[i] is set when candidate i covers cut j.
+
+    A candidate's count of uncovered cuts only falls as the cover grows, so
+    its ratio only rises: the heap holds lower bounds on the (ratio, index)
+    keys, and a popped key whose count is still current is the least one.
+    """
+    uncovered = (1 << n_cuts) - 1
+    heap = []
+    for idx, mask in enumerate(coverage):
+        count = (mask & uncovered).bit_count()
+        if count:
+            heap.append((Fraction(candidates[idx].build_cost, count), idx, count))
+    heapify(heap)
     chosen: set[int] = set()
     while uncovered:
-        best_idx = None
-        best_new: set[int] = set()
-        for idx, cand in enumerate(candidates):
-            new = coverage[idx] & uncovered
-            if not new:
-                continue
-            if best_idx is None or cand.build_cost * len(best_new) < (
-                candidates[best_idx].build_cost * len(new)
-            ):
-                best_idx, best_new = idx, new
-        if best_idx is None:  # every family cut has a covering candidate
+        if not heap:  # every family cut has a covering candidate
             raise GuaranteeError("no candidate covers an uncovered cut")
-        chosen.add(best_idx)
-        uncovered -= best_new
+        _, idx, count = heappop(heap)
+        new = coverage[idx] & uncovered
+        current = new.bit_count()
+        if current == count:
+            chosen.add(idx)
+            uncovered &= ~new
+        elif current:
+            heappush(heap, (Fraction(candidates[idx].build_cost, current), idx, current))
     return frozenset(chosen)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from conftest import brute_min_st_cut_cost, connected_random_subset
 from mstint.budget import budget_approximate
-from mstint.cuts import min_st_cut
+from mstint.cuts import CutNetwork, min_st_cut
 from mstint.eps import eps_increase
 from mstint.generators import gen_bad_example, gen_random
 from mstint.graph import Graph
@@ -250,7 +250,7 @@ def test_acceptance_8_engine_cross_validation():
         n = 4 + seed % 7  # up to 10 vertices
         g = gen_random(seed + 7000, n, n + 4, 5, 5)
         t = 1 + seed % (n - 1)
-        cut = min_st_cut(g, 0, t)
+        cut = min_st_cut(CutNetwork(g), 0, t)
         if cut.cost != brute_min_st_cut_cost(g, 0, t, range(g.n_edges)):
             violations.append((seed, "cut mismatch", n, t))
     report(8, "engine cross-validation", violations, "(1000 MSTs, 60 cuts)")

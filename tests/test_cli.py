@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import mstint
 from conftest import max_tree_complement
-from mstint import cli, cuts, eps, protection, relaxation
+from mstint import cli, cuts, eps, profit, protection, relaxation
 from mstint.cli import main
 from mstint.cuts import CutResult
 from mstint.generators import gen_random
@@ -652,6 +652,41 @@ def test_profit_takes_an_affordable_complete_cut(capsys, tmp_path):
         code, out, _ = run(capsys, [command, str(path), "--budget", "1", "--json"])
         assert code == 0
         assert json.loads(out) == {"cost": "1", "cuts": [], "edges": [0], "profit": "inf"}
+
+
+def test_profit_unit_cycle_builds_one_network(capsys, monkeypatch, tmp_path):
+    # one threshold, so the best single cut cuts every edge's pair on one
+    # flow network; the greedy's only round hits those cuts and builds none
+    builds = []
+    real_init = cuts._FlowNet.__init__
+
+    def counted(net, n, ends):
+        builds.append(len(ends))
+        real_init(net, n, ends)
+
+    in_single = []
+    real_single = profit.best_single_cut
+
+    def single(*args):
+        before = len(builds)
+        result = real_single(*args)
+        in_single.append(len(builds) - before)
+        return result
+
+    monkeypatch.setattr(cuts._FlowNet, "__init__", counted)
+    monkeypatch.setattr(profit, "best_single_cut", single)
+    n = 400
+    path = tmp_path / "cycle.txt"
+    path.write_text(
+        f"{n} {n}\n"
+        + "".join(f"{i} {(i + 1) % n} {2 if i == n - 1 else 1} 1\n" for i in range(n))
+    )
+    code, out, _ = run(capsys, ["profit", str(path), "--budget", "1", "--json"])
+    assert code == 0
+    record = json.loads(out)
+    assert (record["cost"], record["profit"]) == ("1", "1")
+    assert in_single == [1]
+    assert builds == [n - 1]
 
 
 def test_protect_2000_vertex_unit_cycle(capsys, tmp_path):

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import random
 
+from mstint import cuts
 from mstint.budget import (
     CutMemo,
+    CutTable,
     ScoredCut,
     _better,
     _doubling,
@@ -18,7 +20,7 @@ from mstint.budget import (
     best_ratio_cut,
     budget_approximate,
 )
-from mstint.cuts import global_min_cut, min_st_cut
+from mstint.cuts import CutNetwork, global_min_cut, min_st_cut
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
 from mstint.mst import TreePricer, partial_cut, profit
@@ -38,7 +40,7 @@ def reference_scan(g: Graph, alive: set[int], weights: list[int], room: int):
             if gain <= 0:
                 continue
             cut = min_st_cut(
-                g, e.u, e.v, lambda i, ed: i in alive and ed.weight < w
+                CutNetwork(g, lambda i, ed: i in alive and ed.weight < w), e.u, e.v
             )
             if not cut.cost.is_finite or not 0 < cut.cost.units <= room:
                 continue
@@ -67,7 +69,7 @@ def reference_single_cut(g: Graph, budget: int):
     best_cut, best_profit = None, ZERO
     for e in g.edges:
         for w in g.distinct_weights():
-            cut = min_st_cut(g, e.u, e.v, lambda i, ed: ed.weight < w)
+            cut = min_st_cut(CutNetwork(g, lambda i, ed: ed.weight < w), e.u, e.v)
             if not cut.cost.is_finite or cut.cost.units > budget or not cut.edges:
                 continue
             value = profit(g, cut.edges)
@@ -185,3 +187,71 @@ def test_equal_bound_pair_can_still_win():
     best = best_ratio_cut(CutMemo(g), alive, 10)
     assert (best.edge, best.threshold, best.cost) == (2, 4, 1)
     assert best == reference_scan(g, alive, weights, 10)
+
+
+def test_stale_bounds_never_exceed_fresh_cuts():
+    # a table's stale bound for a pair is at most the pair's fresh min cut
+    # over the table's P, an infinite stale cut stays infinite, and a base
+    # cut only grows with the threshold
+    infinite_bounds = two_sources = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(4, 14)
+        g = gen_random(seed, n, rng.randint(n - 1, n + 8), MAX_WEIGHTS[seed % 5], 6)
+        g = Graph(
+            n,
+            tuple(
+                Edge(e.u, e.v, e.weight, None if rng.random() < 0.2 else e.cost)
+                for e in g.edges
+            ),
+        )
+        memo = CutMemo(g)
+        pairs = sorted({(e.u, e.v) for e in g.edges} | {(e.v, e.u) for e in g.edges})
+        for u, v in pairs:
+            costs = [memo.table(w, None).cut(u, v).cost for w in memo.weights]
+            assert costs == sorted(costs), seed
+        # two runs, as two budget guesses: the second starts again from
+        # every edge, so its sets need not lie inside the first run's
+        for _ in range(2):
+            alive = set(range(g.n_edges))
+            for _ in range(3):
+                alive -= set(rng.sample(sorted(alive), rng.randint(1, max(1, len(alive) // 3))))
+                for w in memo.weights:
+                    table = memo.table(w, alive)
+                    two_sources += len(table.stale) == 2
+                    for u, v in pairs:
+                        fresh = min_st_cut(
+                            CutNetwork(g, lambda i, ed: i in alive and ed.weight < w), u, v
+                        )
+                        bound = table.lower_bound(u, v)
+                        assert bound <= fresh.cost, seed
+                        infinite_bounds += not bound.is_finite
+                        if rng.random() < 0.5:
+                            assert table.cut(u, v) == fresh, seed
+    assert infinite_bounds and two_sources
+
+
+def test_networks_built_at_most_tables_created(monkeypatch):
+    counts = {"tables": 0, "networks": 0, "flows": 0}
+    real_table, real_net = CutTable.__init__, cuts._FlowNet.__init__
+    real_flow = cuts._FlowNet.max_flow
+
+    def table(*args):
+        counts["tables"] += 1
+        real_table(*args)
+
+    def network(*args):
+        counts["networks"] += 1
+        real_net(*args)
+
+    def flow(*args):
+        counts["flows"] += 1
+        return real_flow(*args)
+
+    monkeypatch.setattr(CutTable, "__init__", table)
+    monkeypatch.setattr(cuts._FlowNet, "__init__", network)
+    monkeypatch.setattr(cuts._FlowNet, "max_flow", flow)
+    g = gen_random(3, 16, 48, 20, 10)
+    # one unit below the global min cut, so the greedy runs
+    profit_approximate(g, global_min_cut(g).cost.units - 1)
+    assert 0 < counts["networks"] <= counts["tables"] < counts["flows"]

@@ -8,34 +8,34 @@ from conftest import (
     brute_min_st_cut_sides,
     stoer_wagner_cost,
 )
-from mstint.cuts import global_min_cut, min_st_cut
+from mstint.cuts import CutNetwork, global_min_cut, min_st_cut
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
 from mstint.quantities import INFINITY, ZERO, finite
 
 
 def test_t3_weight_filtered_cut(t3):
-    cut = min_st_cut(t3, 0, 1, lambda i, e: e.weight < 2_000_000)
+    cut = min_st_cut(CutNetwork(t3, lambda i, e: e.weight < 2_000_000), 0, 1)
     assert cut.edges == frozenset({0})
     assert cut.cost == finite(1_000_000)
 
 
 def test_t3_unfiltered_cut(t3):
-    cut = min_st_cut(t3, 0, 1)
+    cut = min_st_cut(CutNetwork(t3), 0, 1)
     assert cut.cost == finite(2_000_000)
     # side-canonical: one of the two brute-force minimum sides
     assert cut.side in brute_min_st_cut_sides(t3, 0, 1, range(3))
 
 
 def test_t3_empty_filter_is_zero_cut(t3):
-    cut = min_st_cut(t3, 0, 2, lambda i, e: e.weight < 1_000_000)
+    cut = min_st_cut(CutNetwork(t3, lambda i, e: e.weight < 1_000_000), 0, 2)
     assert cut.edges == frozenset()
     assert cut.cost == ZERO
 
 
 def test_infinite_cost_edges_are_uncuttable():
     g = Graph(2, (Edge(0, 1, 0, None),))
-    assert min_st_cut(g, 0, 1).cost == INFINITY
+    assert min_st_cut(CutNetwork(g), 0, 1).cost == INFINITY
 
 
 def test_global_min_cut_t3(t3):
@@ -59,7 +59,7 @@ def test_min_cut_matches_bruteforce_random():
     for seed in range(40):
         g = gen_random(seed, 6, 10, 5, 5)
         s, t = 0, 1 + seed % (g.n_vertices - 1)
-        cut = min_st_cut(g, s, t)
+        cut = min_st_cut(CutNetwork(g), s, t)
         assert cut.cost == brute_min_st_cut_cost(g, s, t, range(g.n_edges))
 
 
@@ -72,7 +72,7 @@ def test_min_cut_matches_bruteforce_with_inf_edges():
             for e in g.edges
         )
         g = Graph(g.n_vertices, edges)
-        cut = min_st_cut(g, 0, g.n_vertices - 1)
+        cut = min_st_cut(CutNetwork(g), 0, g.n_vertices - 1)
         assert cut.cost == brute_min_st_cut_cost(
             g, 0, g.n_vertices - 1, range(g.n_edges)
         )
@@ -80,7 +80,7 @@ def test_min_cut_matches_bruteforce_with_inf_edges():
 
 def test_s_equals_t_rejected(t3):
     with pytest.raises(ValueError):
-        min_st_cut(t3, 1, 1)
+        min_st_cut(CutNetwork(t3), 1, 1)
 
 
 def brute_global_min_cut_cost(g: Graph):

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from mstint.cuts import min_st_cut
+from mstint.cuts import CutNetwork, min_st_cut
 from mstint.eps import NoFiniteCutError, eps_increase
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
@@ -66,7 +66,7 @@ def flow_eps_cost(g: Graph):
     best = None
     for tree_edge in sorted(mst(g).edges):
         aux, _, s, t = contracted_around(g, tree_edge)
-        cut = min_st_cut(aux, s, t)
+        cut = min_st_cut(CutNetwork(aux), s, t)
         if cut.cost.is_finite and (best is None or cut.cost.units < best):
             best = cut.cost.units
     return best

@@ -11,10 +11,11 @@ from mstint.protection import (
     CandidateInvariantError,
     ProtectionInstance,
     UncoverableCutError,
+    _greedy_cover,
     covers,
     protect,
 )
-from mstint.quantities import ZERO
+from mstint.quantities import ZERO, GuaranteeError
 
 SCALE = 1_000_000
 
@@ -173,6 +174,52 @@ def test_disjoint_coverage_picks_both():
     assert chosen == frozenset({0, 1})
     total = sum(inst.candidates[i].build_cost for i in chosen)
     assert total == 5 * SCALE
+
+
+def set_greedy_cover(candidates, coverage, n_cuts):
+    """The greedy cover over sets: one full scan of the candidates a round."""
+    uncovered = set(range(n_cuts))
+    chosen = set()
+    while uncovered:
+        best_idx = None
+        best_new = set()
+        for idx, cand in enumerate(candidates):
+            new = coverage[idx] & uncovered
+            if not new:
+                continue
+            if best_idx is None or cand.build_cost * len(best_new) < (
+                candidates[best_idx].build_cost * len(new)
+            ):
+                best_idx, best_new = idx, new
+        if best_idx is None:
+            raise GuaranteeError("no candidate covers an uncovered cut")
+        chosen.add(best_idx)
+        uncovered -= best_new
+    return frozenset(chosen)
+
+
+def test_bitset_cover_matches_set_cover():
+    # few distinct costs and dense coverage give many ratio ties, which
+    # both covers break to the lower index
+    for seed in range(400):
+        rng = random.Random(seed)
+        n_cuts, k = rng.randint(1, 12), rng.randint(1, 10)
+        candidates = tuple(Candidate(0, 1, 0, rng.randint(1, 3), 1) for _ in range(k))
+        sets = [
+            {j for j in range(n_cuts) if rng.random() < (seed % 4 + 1) / 5}
+            for _ in range(k)
+        ]
+        if seed % 8:  # else some cut may have no covering candidate
+            for j in range(n_cuts):
+                rng.choice(sets).add(j)
+        masks = [sum(1 << j for j in cut_set) for cut_set in sets]
+        try:
+            expected = set_greedy_cover(candidates, sets, n_cuts)
+        except GuaranteeError:
+            with pytest.raises(GuaranteeError):
+                _greedy_cover(candidates, masks, n_cuts)
+        else:
+            assert _greedy_cover(candidates, masks, n_cuts) == expected, seed
 
 
 def test_protect_matches_all_candidates_built():
