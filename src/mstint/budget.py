@@ -50,7 +50,6 @@ from .quantities import (
     INFINITY,
     ExtendedValue,
     InputError,
-    checked_sum,
     finite,
     log2_bounds,
 )
@@ -129,7 +128,7 @@ class CutTable:
                 if not old.cost.is_finite:
                     return INFINITY
                 bound = max(bound, old.cost.units - dropped)
-        return finite(bound)
+        return ExtendedValue(bound)
 
 
 class CutMemo:
@@ -296,7 +295,7 @@ def _doubling(g: Graph, run) -> tuple[frozenset[int], GreedyTrace] | None:
     if not finite_costs:
         return None
     budget = min(finite_costs)
-    total = checked_sum(finite_costs)
+    total = sum(finite_costs)
     while True:
         edges, trace = run(budget)
         if trace.outcome == "reached_delta":
@@ -315,7 +314,7 @@ def _finish(
     else:
         edges, trace = greedy_result
         # the fallback wins only when strictly cheaper than the greedy
-        fallback = global_cut_candidate(g, checked_sum(g.edges[i].cost for i in edges))
+        fallback = global_cut_candidate(g, sum(g.edges[i].cost for i in edges))
         if fallback is None:
             return make_solution(
                 pricer, edges, cuts=tuple(r.cut for r in trace.rounds), trace=trace

@@ -6,29 +6,23 @@ uncuttable (capacity above any finite cut).  A minimum s-t cut is canonical:
 the source side is the residual-reachability set after a maximum flow, which
 is the unique source-side-minimal minimum cut.  A `CutNetwork` builds the
 flow network over the participating edges once; each `min_st_cut` on it
-restores the base capacities and runs one flow.  The global minimum cut needs
+restores the base capacities and runs one flow.  A global minimum cut needs
 no flow: maximum-adjacency passes contract every edge that no cut cheaper
 than the best one found can cross (Nagamochi and Ibaraki 1992), and
 Padberg and Rinaldi's test 2 contracts between passes.  Given a bound, it
-looks only for a cut strictly below it.
+looks only for a cut strictly below it.  `min_cut` is the one entry to the
+contraction: `global_min_cut` hands it a `Graph`'s edges, and the eps sweep
+the (root, root, cost) edges of one class component.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Callable, Iterable
 
 from .graph import Edge, Graph
-from .quantities import (
-    INFINITY,
-    ZERO,
-    ExtendedValue,
-    GuaranteeError,
-    check_quantity,
-    checked_sum,
-    finite,
-)
+from .quantities import INFINITY, ExtendedValue, GuaranteeError
 
 EdgeFilter = Callable[[int, Edge], bool]
 
@@ -137,7 +131,7 @@ class CutNetwork:
         ]
         edges = [g.edges[i] for i in self.participating]
         # costs are positive, so the total bounds every partial sum
-        self.big = check_quantity(sum(e.cost for e in edges if e.cost is not None)) + 1
+        self.big = sum(e.cost for e in edges if e.cost is not None) + 1
         self.flows = _FlowNet(
             g.n_vertices,
             [(e.u, e.v, self.big if e.cost is None else e.cost) for e in edges],
@@ -153,12 +147,13 @@ class CutNetwork:
         return len(self.participating)
 
 
-def _cut_of_side(g: Graph, participating: list[int], side: set[int]) -> CutResult:
+def _cut_of_side(g: Graph, participating: Iterable[int], side: set[int]) -> CutResult:
     crossing = [i for i in participating if (g.edges[i].u in side) != (g.edges[i].v in side)]
     if any(g.edges[i].cost is None for i in crossing):
         cost = INFINITY
     else:
-        cost = finite(checked_sum(g.edges[i].cost for i in crossing)) if crossing else ZERO
+        # an unchecked sum: a cut is a candidate, and only an answer must fit
+        cost = ExtendedValue(sum(g.edges[i].cost for i in crossing))
     return CutResult(frozenset(side), frozenset(crossing), cost)
 
 
@@ -182,25 +177,25 @@ def min_st_cut(net: CutNetwork, s: int, t: int) -> CutResult:
     return result
 
 
-def global_min_cut(g: Graph, below: int | None = None) -> CutResult | None:
-    """Minimum-cost complete cut, in exact integers.
+def min_cut(
+    n: int, ends: list[tuple[int, int, int | None]], below: int | None = None
+) -> tuple[int | None, set[int]] | None:
+    """Value and vertex-0 side of a minimum cut of n vertices joined by
+    (u, v, cost) edges, cost None meaning infinite; the value is None when
+    every cut crosses an infinite-cost edge.
 
     With `below` set, the cut is returned only when it costs strictly less
-    than `below` units; otherwise the result is None.  Infinite-cost edges
-    get a capacity above any finite cut.  On a disconnected graph the
-    component of vertex 0 is the zero-cost side.  The returned side
-    contains vertex 0.
+    than `below` units; otherwise the result is None.  On a disconnected
+    graph the component of vertex 0 is the zero-cost side.
     """
-    n = g.n_vertices
-    if n < 2:
-        raise ValueError("global min cut needs at least two vertices")
-    participating = list(range(g.n_edges))
-    big = checked_sum(e.cost for e in g.edges if e.cost is not None) + 1
+    # costs are positive, so a cut of `big` or more crosses an infinite edge
+    big = sum(cost for _, _, cost in ends if cost is not None) + 1
     adj: list[dict[int, int]] = [{} for _ in range(n)]
-    for e in g.edges:
-        capacity = big if e.cost is None else e.cost
-        adj[e.u][e.v] = adj[e.u].get(e.v, 0) + capacity
-        adj[e.v][e.u] = adj[e.v].get(e.u, 0) + capacity
+    for u, v, cost in ends:
+        capacity = big if cost is None else cost
+        adj[u][v] = adj[u].get(v, 0) + capacity
+        adj[v][u] = adj[v].get(u, 0) + capacity
+    # the contraction needs a connected graph: it would loop on any other
     seen = {0}
     stack = [0]
     while stack:
@@ -209,18 +204,30 @@ def global_min_cut(g: Graph, below: int | None = None) -> CutResult | None:
                 seen.add(v)
                 stack.append(v)
     if len(seen) < n:
-        return _cut_of_side(g, participating, seen) if below is None or below > 0 else None
-    # no cut costs more than big * m, and one of `big` or more crosses an
-    # infinite-cost edge, so it is never below a finite bound
-    found = _contract_min_cut(adj, big * g.n_edges + 1 if below is None else min(below, big))
+        return (0, seen) if below is None or below > 0 else None
+    # no cut costs more than big * m, and one of `big` or more is never
+    # below a finite bound
+    found = _contract_min_cut(adj, big * len(ends) + 1 if below is None else min(below, big))
     if found is None:
         return None
     value, members = found
     side = set(members)
     if 0 not in side:
         side = set(range(n)) - side
-    result = _cut_of_side(g, participating, side)
-    if result.cost != (INFINITY if value >= big else finite(value)):
+    return (None if value >= big else value), side
+
+
+def global_min_cut(g: Graph, below: int | None = None) -> CutResult | None:
+    """Minimum-cost complete cut of g by `min_cut`, with its side (which
+    contains vertex 0) recomputed on g and checked to cost the cut's value."""
+    if g.n_vertices < 2:
+        raise ValueError("global min cut needs at least two vertices")
+    found = min_cut(g.n_vertices, [(e.u, e.v, e.cost) for e in g.edges], below)
+    if found is None:
+        return None
+    value, side = found
+    result = _cut_of_side(g, range(g.n_edges), side)
+    if result.cost != (INFINITY if value is None else ExtendedValue(value)):
         raise GuaranteeError(f"cut cost {result.cost} differs from its contraction value")
     return result
 

@@ -5,19 +5,22 @@ every edge heavier: the cheapest cut separating the images of e's endpoints
 is the cheapest increase through e.  That auxiliary graph depends only on
 w, and the tree edges of weight w span each of its components, so the
 cheapest cut over a whole weight class is one global minimum cut per
-component.  One ascending sweep over the distinct weights builds every
-component; the cheapest of their cuts is optimal.
+component.  One ascending sweep over the distinct weights yields every
+component as the (edge, root, root) triples of its weight-w edges between
+classes of G_<w.  A component whose every edge costs at least the best cut
+so far is skipped; any other goes to `cuts.min_cut` with its roots
+labelled 0..k-1, and its cut side maps back through the classes' members
+to the partial cut C(S, W') on g.  The cheapest of these cuts is optimal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterator
 
-from .cuts import CutResult, global_min_cut
-from .graph import Edge, Graph
+from .cuts import min_cut
+from .graph import Graph
 from .mst import PartialCutSpec, TreePricer, UnionFind, partial_cut
-from .quantities import INFINITY, GuaranteeError, InputError
+from .quantities import GuaranteeError, InputError
 from .solution import InterdictionSolution, make_solution
 
 
@@ -25,56 +28,19 @@ class NoFiniteCutError(InputError):
     """Every candidate cut costs infinity; no affordable increase exists."""
 
 
-@dataclass(frozen=True)
-class ContractedInstance:
-    """One component of a weight class's auxiliary graph, with maps back to g.
-
-    Its vertices are classes of G_<w (g with every edge lighter than w
-    contracted); its edges are the weight-w edges between them.
-    """
-
-    aux: Graph
-    orig_index: tuple[int, ...]  # aux edge index -> original edge index
-    members: tuple[tuple[int, ...], ...]  # aux vertex -> original vertices
-    threshold: int | None  # W', the next distinct weight above w
-
-    def realize(self, g: Graph, cut: CutResult) -> PartialCutSpec:
-        """The partial cut C(S, W') of an aux cut, checked to cut the same edges."""
-        side = frozenset(v for a in cut.side for v in self.members[a])
-        spec = partial_cut(g, side, self.threshold)
-        if spec.edges != frozenset(self.orig_index[i] for i in cut.edges):
-            raise GuaranteeError("contracted cut does not realize its partial cut")
-        return spec
+Component = tuple[list[tuple[int, int, int]], dict[int, list[int]], int | None]
 
 
-def contracted_instance(
-    g: Graph,
-    crossing: list[tuple[int, int, int]],
-    members: dict[int, list[int]],
-    threshold: int | None,
-) -> ContractedInstance:
-    """Auxiliary graph of one component from its (edge, root u, root v) triples."""
-    label: dict[int, int] = {}
-    aux_edges = []
-    for i, ru, rv in crossing:
-        e = g.edges[i]
-        a = label.setdefault(ru, len(label))
-        b = label.setdefault(rv, len(label))
-        aux_edges.append(Edge(a, b, e.weight, e.cost))
-    return ContractedInstance(
-        Graph(len(label), tuple(aux_edges)),
-        tuple(i for i, _, _ in crossing),
-        tuple(tuple(members[r]) for r in label),
-        threshold,
-    )
+def class_components(g: Graph) -> Iterator[Component]:
+    """Every auxiliary component, by ascending weight class, as its
+    (edge, root u, root v) triples, the member lists of the roots and W'.
 
-
-def class_components(g: Graph) -> Iterator[ContractedInstance]:
-    """Every auxiliary component, by ascending weight class.
-
-    Within a class, components come in order of their lowest edge index.
-    One union-find grows class by class over `g.kruskal_order`, so the whole
-    sweep costs near-linear work per class.
+    A root stands for one class of G_<w; its member list holds that class's
+    vertices.  The member lists are live: the sweep merges them once the
+    consumer asks for the next component.  Within a class, components come
+    in order of their lowest edge index.  One union-find grows class by
+    class over `g.kruskal_order`, so the whole sweep costs near-linear work
+    per class.
     """
     order = [i for i, _, _ in g.kruskal_order]
     batches = [list(b) for _, b in groupby(order, key=lambda i: g.edges[i].weight)]
@@ -92,7 +58,7 @@ def class_components(g: Graph) -> Iterator[ContractedInstance]:
             components.setdefault(uf.find(triple[1]), []).append(triple)
         threshold = g.edges[batches[k + 1][0]].weight if k + 1 < len(batches) else None
         for part in components.values():
-            yield contracted_instance(g, part, members, threshold)
+            yield part, members, threshold
         for r in dict.fromkeys(r for _, ru, rv in crossing for r in (ru, rv)):
             root = uf.find(r)
             if r != root:
@@ -115,23 +81,36 @@ def eps_increase(g: Graph) -> InterdictionSolution:
         raise InputError("need at least two vertices")
     pricer = TreePricer(g)  # raises on a disconnected graph
 
-    best: tuple[CutResult, PartialCutSpec] | None = None
-    for inst in class_components(g):
-        if best is None:
-            cut = global_min_cut(inst.aux)
-        else:
-            below = best[0].cost.units
-            # every cut of a connected component holds one of its edges
-            if all(e.cost is None or e.cost >= below for e in inst.aux.edges):
-                continue
-            cut = global_min_cut(inst.aux, below)
-        if cut is None or cut.cost == INFINITY:
+    best: tuple[int, PartialCutSpec] | None = None
+    for triples, members, threshold in class_components(g):
+        costs = [g.edges[i].cost for i, _, _ in triples]
+        # every cut of a connected component holds one of its edges
+        if best is not None and all(c is None or c >= best[0] for c in costs):
             continue
-        best = (cut, inst.realize(g, cut))
+        # label the roots 0..k-1 in order of appearance; the component is
+        # connected, since its triples joined its roots in the union-find
+        label: dict[int, int] = {}
+        ends = [
+            (label.setdefault(ru, len(label)), label.setdefault(rv, len(label)), c)
+            for (_, ru, rv), c in zip(triples, costs)
+        ]
+        found = min_cut(len(label), ends, None if best is None else best[0])
+        if found is None or found[0] is None:
+            continue
+        value, side = found
+        crossing = [k for k, (a, b, _) in enumerate(ends) if (a in side) != (b in side)]
+        cut_costs = [costs[k] for k in crossing]
+        if None in cut_costs or sum(cut_costs) != value:
+            raise GuaranteeError(f"class cut does not cost its contraction value {value}")
+        roots = list(label)
+        spec = partial_cut(g, (v for a in side for v in members[roots[a]]), threshold)
+        if spec.edges != frozenset(triples[k][0] for k in crossing):
+            raise GuaranteeError("class cut does not realize its partial cut")
+        best = (value, spec)
 
     if best is None:
         raise NoFiniteCutError("every candidate cut has infinite cost")
-    cut, spec = best
-    if not (cut.cost.is_finite and spec.edges):
+    spec = best[1]
+    if not spec.edges:
         raise GuaranteeError("the cheapest class cut must be finite and nonempty")
     return make_solution(pricer, spec.edges, cuts=(spec,))

@@ -10,7 +10,7 @@ from typing import Collection
 
 from .graph import Graph
 from .mst import DisconnectedGraphError
-from .quantities import INFINITY, ExtendedValue, InputError, checked_sum, finite
+from .quantities import INFINITY, ExtendedValue, InputError, check_quantity, finite
 from .solution import InterdictionSolution
 
 MAX_ORACLE_EDGES = 22
@@ -112,7 +112,8 @@ def _cheapest_disconnecting_cut(g: Graph) -> tuple[int, int] | None:
 
 
 def _solution(g: Graph, mask: int, cost: int, gain: ExtendedValue) -> InterdictionSolution:
-    return InterdictionSolution(frozenset(_mask_edges(mask)), cost, gain)
+    # the answer is range-checked as the solvers' answers are
+    return InterdictionSolution(frozenset(_mask_edges(mask)), check_quantity(cost), gain)
 
 
 def _min_cost_subset(g: Graph, qualifies) -> InterdictionSolution:

@@ -14,10 +14,9 @@ import mstint
 from conftest import max_tree_complement
 from mstint import cli, cuts, eps, profit, protection, relaxation
 from mstint.cli import main
-from mstint.cuts import CutResult
 from mstint.generators import gen_random
 from mstint.graph import serialize_instance
-from mstint.mst import SpanningForest
+from mstint.mst import PartialCutSpec, SpanningForest
 
 T3 = "3 3\n0 1 1 1\n1 2 2 1\n0 2 3 1\n"
 P2 = "2 1\n0 1 5 3\n"
@@ -79,17 +78,32 @@ def test_eps_increase_large_unit_cycle(capsys, tmp_path):
 
 
 def test_guarantee_error_exits_1(capsys, monkeypatch, t3_file):
-    # a class cut whose edges disagree with its side fails the realize check
-    real = eps.global_min_cut
+    # a class cut that does not cost its contraction value, or whose side
+    # does not realize its edges on g, fails a check
+    real_min_cut, real_partial_cut = eps.min_cut, eps.partial_cut
 
-    def edgeless(aux, below=None):
-        cut = real(aux, below)
-        return cut and CutResult(cut.side, frozenset(), cut.cost)
+    def one_unit_low(n, ends, below=None):
+        found = real_min_cut(n, ends, below)
+        return found and (found[0] - 1, found[1])
 
-    monkeypatch.setattr(eps, "global_min_cut", edgeless)
-    code, _, err = run(capsys, ["eps-increase", t3_file])
-    assert code == 1
-    assert err.startswith("guarantee violated:")
+    def every_label(n, ends, below=None):
+        found = real_min_cut(n, ends, below)
+        return found and (found[0], set(range(n)))
+
+    def one_more_edge(g, side, threshold):
+        spec = real_partial_cut(g, side, threshold)
+        return PartialCutSpec(spec.side, spec.threshold, spec.edges | {g.n_edges - 1})
+
+    for name, fake in (
+        ("min_cut", one_unit_low),
+        ("min_cut", every_label),
+        ("partial_cut", one_more_edge),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(eps, name, fake)
+            code, _, err = run(capsys, ["eps-increase", t3_file])
+        assert code == 1, fake.__name__
+        assert err.startswith("guarantee violated:")
 
 
 def test_budget_large_cycle(capsys, tmp_path):
@@ -154,7 +168,7 @@ def test_certify_broken_certificate_exits_1(capsys, monkeypatch, t3_file):
         "import sys\n"
         "from mstint import relaxation\n"
         "from mstint.cli import main\n"
-        "from mstint.mst import SpanningForest\n"
+        "from mstint.mst import PartialCutSpec, SpanningForest\n"
         "real = relaxation.mst\n"
         "relaxation.mst = lambda g, exclude=(): SpanningForest(\n"
         "    real(g, exclude).edges & real(g).edges, real(g, exclude).weight)\n"
@@ -401,12 +415,51 @@ def test_quantity_overflow_is_input_error(capsys, tmp_path):
         ("mst", "digits"),
         ("eps-increase", "unit"),
         ("budget", "unit", "--delta", "1"),
-        ("profit", "graded", "--budget", "1"),
     ):
         code, _, err = run(capsys, [command, str(tmp_path / name), *flags])
         assert code == 2, command
         assert err.startswith("error: quantity out of range"), err
         assert len(err.splitlines()) == 1
+
+
+def test_range_checks_answers_not_internal_sums(capsys, tmp_path):
+    # capacities and candidate cut costs may pass 2**63 - 1 units; only an
+    # answer must fit, so the solvers answer where the oracles do
+    top = "9223372036854.775807"  # 2**63 - 1 units
+    big = "9000000000000"
+    c = f"3 3\n0 1 1 {top}\n1 2 1 {top}\n0 2 2 1\n"
+    instances = {
+        "c": c,
+        "d": c.replace("3 3", "3 4", 1) + "0 2 3 1\n",
+        "graded": f"3 3\n0 1 1 {big}\n1 2 2 {big}\n0 2 3 {big}\n",
+    }
+    for name, text in instances.items():
+        (tmp_path / name).write_text(text)
+    for command, oracle, name, *flags in (
+        ("eps-increase", "oracle-eps", "c"),
+        ("budget", "oracle-budget", "c", "--delta", "1"),
+        ("profit", "oracle-profit", "c", "--budget", top),
+        ("eps-increase", "oracle-eps", "d"),
+        ("profit", "oracle-profit", "d", "--budget", top),
+        ("profit", "oracle-profit", "graded", "--budget", "1"),
+    ):
+        path = str(tmp_path / name)
+        code, out, err = run(capsys, [command, path, *flags, "--json"])
+        assert code == 0, (command, name, err)
+        code, expected, _ = run(capsys, [oracle, path, *flags, "--json"])
+        assert code == 0
+        answer, truth = json.loads(out), json.loads(expected)
+        for key in ("edges", "cost", "profit"):
+            assert answer[key] == truth[key], (command, name, key)
+    # the greedy's own answer on d costs past the range, and so does the
+    # oracle's cheapest set on c for a profit of 2
+    for argv in (
+        ["budget", str(tmp_path / "d"), "--delta", "1"],
+        ["oracle-budget", str(tmp_path / "c"), "--delta", "2"],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 2, argv
+        assert err.startswith("error: quantity out of range"), err
 
 
 def test_error_contract_on_tiny_instances(capsys, tmp_path):

@@ -94,13 +94,13 @@ def class_component_count(g: Graph) -> int:
 
 def test_one_global_min_cut_per_class_component(monkeypatch):
     calls = []
-    real = eps.global_min_cut
+    real = eps.min_cut
 
-    def counting(g, below=None):
-        calls.append(g)
-        return real(g, below)
+    def counting(n, ends, below=None):
+        calls.append(n)
+        return real(n, ends, below)
 
-    monkeypatch.setattr(eps, "global_min_cut", counting)
+    monkeypatch.setattr(eps, "min_cut", counting)
     for seed in (1, 5, 9):
         g = gen_random(seed, 7, 12, 5, 5)
         calls.clear()
@@ -150,19 +150,23 @@ def test_no_finite_cut():
 def test_contracted_instance_t3(t3):
     tree = mst(t3)
     # e2 (w=3) joins a single class of G_<3, so only two classes have a
-    # component; at w=2, e0 contracts {0,1} and e2 is dropped
-    first, second = class_components(t3)
-    assert first.orig_index == (0,)
-    assert second.aux.n_vertices == 2
-    assert second.orig_index == (1,)
-    assert sorted(map(sorted, second.members)) == [[0, 1], [2]]
+    # component; at w=2, e0 contracts {0,1} and e2 is dropped.  The member
+    # lists are live, so each component's are copied as it is yielded
+    components = []
+    for triples, members, _ in class_components(t3):
+        roots = dict.fromkeys(r for _, ru, rv in triples for r in (ru, rv))
+        components.append(([i for i, _, _ in triples], [list(members[r]) for r in roots]))
+    first, second = components
+    assert first[0] == [0]
+    assert second[0] == [1]
+    assert sorted(map(sorted, second[1])) == [[0, 1], [2]]  # two roots
     assert 1 in tree.edges
 
 
 def test_next_distinct_weight(t3, p2):
     # each class cut is taken at W', the next distinct weight above its class
-    assert [c.threshold for c in class_components(t3)] == [2_000_000, 3_000_000]
-    assert [c.threshold for c in class_components(p2)] == [None]
+    assert [w for _, _, w in class_components(t3)] == [2_000_000, 3_000_000]
+    assert [w for _, _, w in class_components(p2)] == [None]
 
 
 def test_deterministic():
