@@ -36,8 +36,9 @@ def class_components(g: Graph) -> Iterator[Component]:
     (edge, root u, root v) triples, the member lists of the roots and W'.
 
     A root stands for one class of G_<w; its member list holds that class's
-    vertices.  The member lists are live: the sweep merges them once the
-    consumer asks for the next component.  Within a class, components come
+    vertices.  The member lists are live: the sweep merges them once a
+    class's last component is taken, so read them before asking for the
+    next component.  Within a class, components come
     in order of their lowest edge index.  One union-find grows class by
     class over `g.kruskal_order`, so the whole sweep costs near-linear work
     per class.
