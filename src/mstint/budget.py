@@ -113,8 +113,7 @@ class CutTable:
         result = self.cuts.get((u, v))
         if result is None:
             if self._network is None:
-                participating = self.participating
-                self._network = CutNetwork(self.g, lambda i, _e: i in participating)
+                self._network = CutNetwork(self.g, self.participating)
             result = self.cuts[u, v] = min_st_cut(self._network, u, v)
         return result
 

@@ -10,6 +10,7 @@ input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -161,7 +162,9 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="mstint", description="MST interdiction toolkit"
     )

@@ -1,30 +1,29 @@
 """Minimum s-t cuts and the global minimum cut.
 
-Cuts are always taken with respect to edge removal COSTS; a filter predicate
-decides which edges participate at all.  Infinity-cost edges are modeled as
-uncuttable (capacity above any finite cut).  A minimum s-t cut is canonical:
-the source side is the residual-reachability set after a maximum flow, which
-is the unique source-side-minimal minimum cut.  A `CutNetwork` builds the
-flow network over the participating edges once; each `min_st_cut` on it
-restores the base capacities and runs one flow.  A global minimum cut needs
-no flow: maximum-adjacency passes contract every edge that no cut cheaper
-than the best one found can cross (Nagamochi and Ibaraki 1992), and
-Padberg and Rinaldi's test 2 contracts between passes.  Given a bound, it
-looks only for a cut strictly below it.  `min_cut` is the one entry to the
-contraction: `global_min_cut` hands it a `Graph`'s edges, and the eps sweep
-the (root, root, cost) edges of one class component.
+Cuts are always taken with respect to edge removal COSTS; a set of edge
+indices decides which edges participate at all.  Infinity-cost edges are
+modeled as uncuttable (capacity above any finite cut).  A minimum s-t cut is
+canonical: the source side is the residual-reachability set after a maximum
+flow, which is the unique source-side-minimal minimum cut.  A `CutNetwork`
+is the flow network over the participating edges, built once; each
+`min_st_cut` on it runs one flow from the base capacities.  A global
+minimum cut needs no flow: maximum-adjacency passes contract every edge
+that no cut cheaper than the best one found can cross (Nagamochi and
+Ibaraki 1992), and Padberg and Rinaldi's test 2 contracts between passes.
+Given a bound, it looks only for a cut strictly below it.  `min_cut` is the
+one entry to the contraction: `global_min_cut` hands it a `Graph`'s edges,
+and the eps sweep the (root, root, cost) edges of one class component.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .graph import Edge, Graph
+from .graph import Graph
 from .quantities import INFINITY, ExtendedValue, GuaranteeError
 
-EdgeFilter = Callable[[int, Edge], bool]
 
 @dataclass(frozen=True)
 class CutResult:
@@ -33,29 +32,44 @@ class CutResult:
     cost: ExtendedValue
 
 
-class _FlowNet:
-    """Dinic max-flow on an undirected multigraph.
+class CutNetwork:
+    """Dinic max-flow over the participating edges of a graph, by default
+    all of them; built once and reset to its base capacities before each flow.
 
-    Each edge is one residual arc pair 2k, 2k+1; both directions start with
-    the edge's full capacity.
+    Each participating edge, in ascending index order, is one residual arc
+    pair 2k, 2k+1; both directions start with the edge's cost, or `big` for
+    an infinite cost.
     """
 
-    def __init__(self, n: int, ends: list[tuple[int, int, int]]):
-        self.n = n
+    def __init__(self, g: Graph, participating: Iterable[int] | None = None):
+        self.g = g
+        self.participating = (
+            list(range(g.n_edges)) if participating is None else sorted(participating)
+        )
+        self.n_vertices = n = g.n_vertices
+        self.n_edges = len(self.participating)
+        edges = [g.edges[i] for i in self.participating]
+        # costs are positive, so the total bounds every partial sum
+        self.big = sum(e.cost for e in edges if e.cost is not None) + 1
         self.head: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
-        self.cap: list[int] = []
-        for u, v, capacity in ends:
-            self.head[u].append(len(self.to))
-            self.head[v].append(len(self.to) + 1)
-            self.to += (v, u)
-            self.cap += (capacity, capacity)
+        self.base_cap: list[int] = []
+        for e in edges:
+            capacity = self.big if e.cost is None else e.cost
+            self.head[e.u].append(len(self.to))
+            self.head[e.v].append(len(self.to) + 1)
+            self.to += (e.v, e.u)
+            self.base_cap += (capacity, capacity)
+        self.cap = self.base_cap[:]
 
     def max_flow(self, s: int, t: int) -> int:
+        """The value of a maximum s-t flow from the base capacities; `cap`
+        keeps its residual capacities."""
         head, to, cap = self.head, self.to, self.cap
+        cap[:] = self.base_cap
         flow = 0
         while True:
-            level = [-1] * self.n
+            level = [-1] * self.n_vertices
             level[s] = 0
             queue = deque([s])
             while queue:
@@ -69,7 +83,7 @@ class _FlowNet:
                 return flow
             # blocking flow by an iterative depth-first walk along level
             # arcs; `path` holds the arcs from s to the walk's vertex
-            it = [0] * self.n
+            it = [0] * self.n_vertices
             path: list[int] = []
             u = s
             while True:
@@ -118,35 +132,6 @@ class _FlowNet:
         return seen
 
 
-class CutNetwork:
-    """One flow network over the participating edges of a graph, built once
-    and reset to its base capacities before each flow."""
-
-    def __init__(self, g: Graph, edge_filter: EdgeFilter | None = None):
-        self.g = g
-        self.participating = [
-            i
-            for i, e in enumerate(g.edges)
-            if edge_filter is None or edge_filter(i, e)
-        ]
-        edges = [g.edges[i] for i in self.participating]
-        # costs are positive, so the total bounds every partial sum
-        self.big = sum(e.cost for e in edges if e.cost is not None) + 1
-        self.flows = _FlowNet(
-            g.n_vertices,
-            [(e.u, e.v, self.big if e.cost is None else e.cost) for e in edges],
-        )
-        self.base_cap = self.flows.cap[:]
-
-    @property
-    def n_vertices(self) -> int:
-        return self.g.n_vertices
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.participating)
-
-
 def _cut_of_side(g: Graph, participating: Iterable[int], side: set[int]) -> CutResult:
     crossing = [i for i in participating if (g.edges[i].u in side) != (g.edges[i].v in side)]
     if any(g.edges[i].cost is None for i in crossing):
@@ -161,10 +146,8 @@ def min_st_cut(net: CutNetwork, s: int, t: int) -> CutResult:
     """Minimum-cost cut separating s from t over the network's edges."""
     if s == t:
         raise ValueError("s and t must differ")
-    flows = net.flows
-    flows.cap[:] = net.base_cap
-    flow = flows.max_flow(s, t)
-    side = flows.residual_reachable(s)
+    flow = net.max_flow(s, t)
+    side = net.residual_reachable(s)
     result = _cut_of_side(net.g, net.participating, side)
     # strong duality: the flow value must equal the cut cost
     if result.cost.is_finite:

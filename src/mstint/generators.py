@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import Edge, Graph
+from .graph import MAX_VERTICES, Edge, Graph
 from .quantities import SCALE, InputError
 
 
@@ -16,6 +16,8 @@ def gen_random(
 
     Integer weights in [0, max_weight] and costs in [1, max_cost], scaled.
     """
+    if n > MAX_VERTICES:
+        raise InputError("more than 10**6 vertices")
     if n < 1 or m < n - 1:
         raise InputError("need m >= n - 1 for a connected graph")
     if max_weight < 0 or max_cost < 1:
@@ -60,6 +62,8 @@ def gen_bad_example(heavy_weight: int, removals: int, components: int) -> tuple[
     `heavy_weight` must exceed removals + 1; "uncuttable" costs are
     materialized as removals + 2, which no recommended budget can afford.
     """
+    if components + 4 > MAX_VERTICES:
+        raise InputError("more than 10**6 vertices")
     if components < 2:
         raise InputError("need at least two path vertices")
     if removals != components - 1:

@@ -26,6 +26,9 @@ from .quantities import (
 )
 
 
+MAX_VERTICES = 10**6  # every solver allocates per vertex
+
+
 class ParseError(InputError):
     """The instance text does not conform to the format."""
 
@@ -144,7 +147,7 @@ def parse_instance_full(text: str) -> tuple[Graph, tuple[Candidate, ...]]:
         raise ParseError(f"line {lineno}: bad header") from exc
     if n < 1:
         raise ParseError(f"line {lineno}: bad header values")
-    if n > 10**6:  # every solver allocates per vertex
+    if n > MAX_VERTICES:
         raise ParseError(f"line {lineno}: more than 10**6 vertices")
 
     edges = []

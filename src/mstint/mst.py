@@ -87,7 +87,8 @@ class TreePricer:
     T = MST(G) is the unique MST under the (weight, index) order, so
     MST(G minus F) keeps T minus F and joins its |F & T| + 1 pieces with the
     lightest non-tree edges outside F, in Kruskal order.  T is computed and
-    rooted once; each `price` labels the pieces and scans the non-tree edges.
+    rooted once; each `price` labels the pieces and scans the non-tree edges,
+    and `pieces` numbers the same labelling by vertex.
     """
 
     def __init__(self, g: Graph):
@@ -124,19 +125,33 @@ class TreePricer:
             (i, first[u], first[v]) for i, u, v in g.kruskal_order if i not in lower
         ]
 
-    def price(self, removed: Collection[int]) -> ExtendedValue:
-        """MST(G minus F) - MST(G) for F = `removed`; infinite iff F disconnects G."""
-        lower, first, size = self._lower, self._first, self._size
-        in_tree = {i for i in removed if i in lower}
-        if not in_tree:
-            return ZERO
-        lost = sorted((lower[i] for i in in_tree), key=first.__getitem__)
-        # label the pieces by preorder position, outer subtrees first
+    def _label(self, in_tree: Collection[int]) -> list[int]:
+        """The piece of T minus `in_tree` at each preorder position: 0 for
+        the root's piece, k for the piece below the k-th cut edge in preorder."""
+        first, size = self._first, self._size
+        lost = sorted((self._lower[i] for i in in_tree), key=first.__getitem__)
+        # outer subtrees first, so an inner piece overwrites its part
         piece = [0] * self.g.n_vertices
         for label, v in enumerate(lost, 1):
             piece[first[v] : first[v] + size[v]] = [label] * size[v]
-        root = list(range(len(lost) + 1))
-        need, added = len(lost), 0
+        return piece
+
+    def pieces(self, removed: Collection[int]) -> list[int]:
+        """The piece of T minus F holding each vertex, for F = `removed`;
+        pieces are numbered by their lowest vertex, so piece 0 holds vertex 0."""
+        piece = self._label([i for i in removed if i in self._lower])
+        number: dict[int, int] = {}
+        return [number.setdefault(piece[p], len(number)) for p in self._first]
+
+    def price(self, removed: Collection[int]) -> ExtendedValue:
+        """MST(G minus F) - MST(G) for F = `removed`; infinite iff F disconnects G."""
+        lower = self._lower
+        in_tree = {i for i in removed if i in lower}
+        if not in_tree:
+            return ZERO
+        piece = self._label(in_tree)
+        root = list(range(len(in_tree) + 1))
+        need, added = len(in_tree), 0
         edges = self.g.edges
         for i, a, b in self._joins:
             a, b = piece[a], piece[b]

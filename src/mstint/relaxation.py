@@ -3,25 +3,19 @@
 Given a removal set F with finite profit, builds the sequence of partial
 cuts over the components of T minus F, chosen on the small side of the MST
 of the connected-components graph, and verifies the cost, laminarity,
-matching, and profit bounds that make the greedy analysis work; one
-`mst.TreePricer` prices the cuts of the profit bound.
+matching, and profit bounds that make the greedy analysis work.  One
+`mst.TreePricer` roots T = MST(G) for the whole run: it gives T, labels the
+components of T minus F, and, carried by the certificate, prices the cuts
+of the profit bound.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import Graph
-from .mst import (
-    DisconnectedGraphError,
-    PartialCutSpec,
-    SpanningForest,
-    TreePricer,
-    UnionFind,
-    mst,
-    partial_cut,
-)
+from .mst import DisconnectedGraphError, PartialCutSpec, TreePricer, mst, partial_cut
 from .quantities import (
     ZERO,
     ExtendedValue,
@@ -31,19 +25,6 @@ from .quantities import (
     checked_sum,
     log2_bounds,
 )
-
-
-@dataclass(frozen=True)
-class CcGraph:
-    """The components of T minus F."""
-
-    components: tuple[frozenset[int], ...]
-    component_of: tuple[int, ...]  # vertex -> component index
-    tree_removed: tuple[int, ...]  # edges of T in F, ascending index
-
-    @property
-    def t(self) -> int:
-        return len(self.components)
 
 
 @dataclass(frozen=True)
@@ -57,25 +38,7 @@ class RelaxationCertificate:
     profit_lb_sum: int  # sum of w(e_i') - w(e_pi(i))
     profit_value: ExtendedValue  # p_G(F)
     solution_cost: int  # c(F)
-
-
-def build_cc_graph(g: Graph, tree: SpanningForest, removed: frozenset[int]) -> CcGraph:
-    """The components of T minus F, for T = `tree` and F = `removed`."""
-    uf = UnionFind(g.n_vertices)
-    for i in tree.edges:
-        if i not in removed:
-            uf.union(g.edges[i].u, g.edges[i].v)
-    root_of = [uf.find(v) for v in range(g.n_vertices)]
-    relabel = {r: c for c, r in enumerate(sorted(set(root_of)))}
-    component_of = tuple(relabel[r] for r in root_of)
-    members: list[list[int]] = [[] for _ in relabel]
-    for v, c in enumerate(component_of):
-        members[c].append(v)
-    return CcGraph(
-        tuple(map(frozenset, members)),
-        component_of,
-        tuple(sorted(tree.edges & removed)),
-    )
+    pricer: TreePricer = field(compare=False, repr=False)  # the run's rooted T
 
 
 def _matching(adjacent: list[list[int]], n_right: int) -> list[int] | None:
@@ -119,18 +82,20 @@ def _matching(adjacent: list[list[int]], n_right: int) -> list[int] | None:
 
 
 def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertificate:
-    tree = mst(g)
-    if not tree.weight.is_finite:
-        raise DisconnectedGraphError("graph is disconnected")
+    pricer = TreePricer(g)
+    tree = pricer.tree
     after = mst(g, removed)
     if not after.weight.is_finite:
         raise DisconnectedGraphError("removal set disconnects the graph")
     for i in sorted(removed):
         if g.edges[i].cost is None:
             raise InputError(f"edge {i} has infinite removal cost")
-    cc = build_cc_graph(g, tree, removed)
-    t = cc.t
-    tree_removed = cc.tree_removed
+    component_of = pricer.pieces(removed)
+    tree_removed = sorted(tree.edges & removed)
+    t = len(tree_removed) + 1
+    components: list[list[int]] = [[] for _ in range(t)]
+    for v, c in enumerate(component_of):
+        components[c].append(v)
 
     # T is the unique MST under the (weight, index) order, so MST(G minus F)
     # keeps T minus F; its other edges, in Kruskal order, are the MST of the
@@ -156,8 +121,8 @@ def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertifica
     cuts: list[PartialCutSpec] = []
     for i in range(t - 1):
         e_i = g.edges[prime_edges[i]]
-        left = label[cc.component_of[e_i.u]]
-        right = label[cc.component_of[e_i.v]]
+        left = label[component_of[e_i.u]]
+        right = label[component_of[e_i.v]]
         if left == right:
             raise GuaranteeError(f"prime edge {prime_edges[i]} closes a cycle")
         small = left if top[left] <= top[right] else right
@@ -166,7 +131,7 @@ def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertifica
             counts[c] += 1
         top[small] += 1
         sides_cc.append(side_cc)
-        side_vertices = frozenset().union(*(cc.components[c] for c in side_cc))
+        side_vertices = frozenset().union(*(components[c] for c in side_cc))
         cuts.append(partial_cut(g, side_vertices, e_i.weight))
         if len(members[left]) < len(members[right]):
             left, right = right, left
@@ -181,8 +146,8 @@ def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertifica
     # under both, so it crosses a side iff the side's members list it once.
     ends_at: list[list[int]] = [[] for _ in range(t)]
     for r, ei in enumerate(tree_removed):
-        ends_at[cc.component_of[g.edges[ei].u]].append(r)
-        ends_at[cc.component_of[g.edges[ei].v]].append(r)
+        ends_at[component_of[g.edges[ei].u]].append(r)
+        ends_at[component_of[g.edges[ei].v]].append(r)
     adjacent = []
     for side_cc in sides_cc:
         hits = Counter(r for c in side_cc for r in ends_at[c])
@@ -208,6 +173,7 @@ def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertifica
         profit_lb_sum=profit_lb_sum,
         profit_value=after.weight - tree.weight,
         solution_cost=checked_sum(g.edges[i].cost for i in removed),
+        pricer=pricer,
     )
 
 
@@ -260,9 +226,9 @@ def certify(g: Graph, removed: frozenset[int], cert: RelaxationCertificate) -> d
     else:
         checks["matching_profit_identity"] = False
 
-    # (f) total cut profit, priced against one rooted T, covers the solution profit
-    pricer = TreePricer(g)
-    total = sum((pricer.price(cut.edges) for cut in cert.cuts), ZERO)
+    # (f) total cut profit, priced against the run's one rooted T, covers
+    # the solution profit
+    total = sum((cert.pricer.price(cut.edges) for cut in cert.cuts), ZERO)
     checks["profit_cover"] = total >= cert.profit_value
 
     # (g) typical vertices: fresh component per cut, plus one untouched

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -127,9 +128,9 @@ def test_budget_large_cycle(capsys, tmp_path):
 
 def test_min_cut_duality_mismatch_exits_1(capsys, monkeypatch, t3_file):
     # a max-flow one unit short of its residual cut breaks strong duality
-    real = cuts._FlowNet.max_flow
+    real = cuts.CutNetwork.max_flow
     monkeypatch.setattr(
-        cuts._FlowNet, "max_flow", lambda net, s, t: real(net, s, t) - 1
+        cuts.CutNetwork, "max_flow", lambda net, s, t: real(net, s, t) - 1
     )
     code, _, err = run(capsys, ["budget", t3_file, "--delta", "2"])
     assert code == 1
@@ -140,8 +141,8 @@ def test_min_cut_duality_mismatch_exits_1(capsys, monkeypatch, t3_file):
         "import sys\n"
         "from mstint import cuts\n"
         "from mstint.cli import main\n"
-        "real = cuts._FlowNet.max_flow\n"
-        "cuts._FlowNet.max_flow = lambda net, s, t: real(net, s, t) - 1\n"
+        "real = cuts.CutNetwork.max_flow\n"
+        "cuts.CutNetwork.max_flow = lambda net, s, t: real(net, s, t) - 1\n"
         f"sys.exit(main(['budget', {t3_file!r}, '--delta', '2']))\n",
     )
     assert proc.returncode == 1, proc.stderr
@@ -585,6 +586,19 @@ def test_vertex_count_is_capped(capsys, tmp_path):
             assert err == "error: line 1: more than 10**6 vertices\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "random", "--seed", "1", "--n", "1000001", "--m", "1000000"],
+        ["gen", "bad", "--components", "999997", "--removals", "999996",
+         "--heavy-weight", "999998"],
+    ],
+)
+def test_gen_keeps_to_the_vertex_cap(capsys, argv):
+    # gen writes nothing the parser would reject: n = 10**6 + 1 both times
+    assert run(capsys, argv) == (2, "", "error: more than 10**6 vertices\n")
+
+
 def test_degenerate_input_messages(capsys, tmp_path):
     inf_triangle = tmp_path / "inf_triangle"
     inf_triangle.write_text("3 3\n0 1 1 inf\n1 2 1 inf\n0 2 1 inf\n")
@@ -711,11 +725,11 @@ def test_profit_unit_cycle_builds_one_network(capsys, monkeypatch, tmp_path):
     # one threshold, so the best single cut cuts every edge's pair on one
     # flow network; the greedy's only round hits those cuts and builds none
     builds = []
-    real_init = cuts._FlowNet.__init__
+    real_init = cuts.CutNetwork.__init__
 
-    def counted(net, n, ends):
-        builds.append(len(ends))
-        real_init(net, n, ends)
+    def counted(net, g, participating):
+        real_init(net, g, participating)
+        builds.append(net.n_edges)
 
     in_single = []
     real_single = profit.best_single_cut
@@ -726,7 +740,7 @@ def test_profit_unit_cycle_builds_one_network(capsys, monkeypatch, tmp_path):
         in_single.append(len(builds) - before)
         return result
 
-    monkeypatch.setattr(cuts._FlowNet, "__init__", counted)
+    monkeypatch.setattr(cuts.CutNetwork, "__init__", counted)
     monkeypatch.setattr(profit, "best_single_cut", single)
     n = 400
     path = tmp_path / "cycle.txt"
@@ -755,6 +769,31 @@ def test_protect_2000_vertex_unit_cycle(capsys, tmp_path):
     assert "not coverable" in err and len(err.splitlines()) == 1
     # the cut is named by its edges and its side's size, not every vertex
     assert len(err) < 200, err
+
+
+def test_parser_built_once_and_solvers_looked_up_per_call(capsys, monkeypatch, t3_file):
+    builds = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted(parser, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        real_init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    first = run(capsys, ["eps-increase", t3_file, "--json"])
+    assert first[0] == 0 and builds.count("mstint") == 1
+    calls = []
+    real = cli.eps_increase
+
+    def solver(g):
+        calls.append(g.n_vertices)
+        return real(g)
+
+    monkeypatch.setattr(cli, "eps_increase", solver)
+    assert run(capsys, ["eps-increase", t3_file, "--json"]) == first
+    assert builds.count("mstint") == 1
+    assert calls == [3]
 
 
 def test_all_names_resolve():

@@ -40,7 +40,7 @@ def reference_scan(g: Graph, alive: set[int], weights: list[int], room: int):
             if gain <= 0:
                 continue
             cut = min_st_cut(
-                CutNetwork(g, lambda i, ed: i in alive and ed.weight < w), e.u, e.v
+                CutNetwork(g, [i for i in alive if g.edges[i].weight < w]), e.u, e.v
             )
             if not cut.cost.is_finite or not 0 < cut.cost.units <= room:
                 continue
@@ -69,7 +69,8 @@ def reference_single_cut(g: Graph, budget: int):
     best_cut, best_profit = None, ZERO
     for e in g.edges:
         for w in g.distinct_weights():
-            cut = min_st_cut(CutNetwork(g, lambda i, ed: ed.weight < w), e.u, e.v)
+            light = [i for i, ed in enumerate(g.edges) if ed.weight < w]
+            cut = min_st_cut(CutNetwork(g, light), e.u, e.v)
             if not cut.cost.is_finite or cut.cost.units > budget or not cut.edges:
                 continue
             value = profit(g, cut.edges)
@@ -221,7 +222,7 @@ def test_stale_bounds_never_exceed_fresh_cuts():
                     two_sources += len(table.stale) == 2
                     for u, v in pairs:
                         fresh = min_st_cut(
-                            CutNetwork(g, lambda i, ed: i in alive and ed.weight < w), u, v
+                            CutNetwork(g, [i for i in alive if g.edges[i].weight < w]), u, v
                         )
                         bound = table.lower_bound(u, v)
                         assert bound <= fresh.cost, seed
@@ -233,8 +234,8 @@ def test_stale_bounds_never_exceed_fresh_cuts():
 
 def test_networks_built_at_most_tables_created(monkeypatch):
     counts = {"tables": 0, "networks": 0, "flows": 0}
-    real_table, real_net = CutTable.__init__, cuts._FlowNet.__init__
-    real_flow = cuts._FlowNet.max_flow
+    real_table, real_net = CutTable.__init__, cuts.CutNetwork.__init__
+    real_flow = cuts.CutNetwork.max_flow
 
     def table(*args):
         counts["tables"] += 1
@@ -249,8 +250,8 @@ def test_networks_built_at_most_tables_created(monkeypatch):
         return real_flow(*args)
 
     monkeypatch.setattr(CutTable, "__init__", table)
-    monkeypatch.setattr(cuts._FlowNet, "__init__", network)
-    monkeypatch.setattr(cuts._FlowNet, "max_flow", flow)
+    monkeypatch.setattr(cuts.CutNetwork, "__init__", network)
+    monkeypatch.setattr(cuts.CutNetwork, "max_flow", flow)
     g = gen_random(3, 16, 48, 20, 10)
     # one unit below the global min cut, so the greedy runs
     profit_approximate(g, global_min_cut(g).cost.units - 1)

@@ -29,10 +29,8 @@ from mstint.quantities import (
     log2_bounds,
 )
 from mstint.relaxation import (
-    CcGraph,
     RelaxationCertificate,
     _matching,
-    build_cc_graph,
     build_cut_sequence,
     certify,
 )
@@ -41,15 +39,11 @@ mst_module = importlib.import_module("mstint.mst")
 
 
 def test_cc_graph_t3_single_removal(t3):
-    cc = build_cc_graph(t3, mst(t3), frozenset({0}))
-    assert cc.components == (frozenset({0}), frozenset({1, 2}))
-    assert cc.t == 2
-    assert cc.tree_removed == (0,)
+    assert TreePricer(t3).pieces(frozenset({0})) == [0, 1, 1]
 
 
 def test_cc_graph_t3_empty_removal(t3):
-    cc = build_cc_graph(t3, mst(t3), frozenset())
-    assert cc.t == 1
+    assert TreePricer(t3).pieces(frozenset()) == [0, 0, 0]
     cert = build_cut_sequence(t3, frozenset())
     assert cert.cuts == ()
     assert certify(t3, frozenset(), cert)["ok"]
@@ -65,8 +59,7 @@ def test_cc_graph_path_middle_edge():
             Edge(0, 3, 2_000_000, 1_000_000),
         ),
     )
-    cc = build_cc_graph(g, mst(g), frozenset({1}))
-    assert set(cc.components) == {frozenset({0, 1}), frozenset({2, 3})}
+    assert TreePricer(g).pieces(frozenset({1})) == [0, 0, 1, 1]
 
 
 def test_cc_graph_rejects_disconnecting_removal(t3):
@@ -173,7 +166,19 @@ def ref_profit(g: Graph, removed):
     return ref_mst(g, removed).weight - base.weight
 
 
-def ref_cc_graph(g: Graph, removed: frozenset[int]) -> tuple[CcGraph, tuple[int, ...]]:
+@dataclasses.dataclass(frozen=True)
+class RefComponents:
+    """The components of T minus F, numbered by their lowest vertex."""
+
+    components: tuple[frozenset[int], ...]
+    component_of: tuple[int, ...]  # vertex -> component index
+
+    @property
+    def t(self) -> int:
+        return len(self.components)
+
+
+def ref_cc_graph(g: Graph, removed: frozenset[int]) -> tuple[RefComponents, tuple[int, ...]]:
     """The components of T minus F and the edges of G minus F between them."""
     tree = ref_mst(g)
     assert tree.weight.is_finite and ref_mst(g, removed).weight.is_finite
@@ -181,19 +186,20 @@ def ref_cc_graph(g: Graph, removed: frozenset[int]) -> tuple[CcGraph, tuple[int,
     for i in tree.edges:
         if i not in removed:
             uf.union(g.edges[i].u, g.edges[i].v)
-    roots = sorted({uf.find(v) for v in range(g.n_vertices)})
-    relabel = {r: c for c, r in enumerate(roots)}
-    component_of = tuple(relabel[uf.find(v)] for v in range(g.n_vertices))
+    relabel: dict[int, int] = {}
+    component_of = tuple(
+        relabel.setdefault(uf.find(v), len(relabel)) for v in range(g.n_vertices)
+    )
     components = tuple(
         frozenset(v for v in range(g.n_vertices) if component_of[v] == c)
-        for c in range(len(roots))
+        for c in range(len(relabel))
     )
     cc_edges = tuple(
         i
         for i, e in enumerate(g.edges)
         if i not in removed and component_of[e.u] != component_of[e.v]
     )
-    return CcGraph(components, component_of, tuple(sorted(tree.edges & removed))), cc_edges
+    return RefComponents(components, component_of), cc_edges
 
 
 def ref_matching(adjacent, n_right):
@@ -276,6 +282,7 @@ def ref_build(g: Graph, removed: frozenset[int]) -> RelaxationCertificate:
         ),
         profit_value=ref_profit(g, removed),
         solution_cost=checked_sum(g.edges[i].cost for i in removed),
+        pricer=TreePricer(g),
     )
 
 
@@ -503,10 +510,11 @@ def certify_run_counts(monkeypatch, tmp_path, g: Graph, removed) -> dict:
         counts["mst"] += 1
         return real_mst(*args, **kwargs)
 
-    class CountedUnionFind(UnionFind):
-        def __init__(self, n):
-            counts["union_find"] += 1
-            super().__init__(n)
+    real_union_find = UnionFind.__init__
+
+    def counted_union_find(uf, n):
+        counts["union_find"] += 1
+        real_union_find(uf, n)
 
     order = Graph.__dict__["kruskal_order"]
     real_order = order.func
@@ -520,7 +528,7 @@ def certify_run_counts(monkeypatch, tmp_path, g: Graph, removed) -> dict:
     with monkeypatch.context() as patch:
         patch.setattr(mst_module, "mst", counted_mst)
         patch.setattr(relaxation, "mst", counted_mst)
-        patch.setattr(relaxation, "UnionFind", CountedUnionFind)
+        patch.setattr(UnionFind, "__init__", counted_union_find)
         patch.setattr(order, "func", counted_order)
         assert main(["certify", str(path), "--edges", ",".join(map(str, removed))]) == 0
     return counts
@@ -533,11 +541,12 @@ def test_certify_work_counts(monkeypatch, tmp_path):
         t = len(build_cut_sequence(g, frozenset(removed)).small_sides_cc) + 1
         assert t > 20
         counts = certify_run_counts(monkeypatch, tmp_path, g, removed)
-        # three, whatever t: T = MST(G) and T' = MST(G minus F), which give
-        # the components, the prime edges T' minus T and the profit, and
-        # the one `TreePricer` of check (f), which prices every cut from the
-        # pieces of T minus C with no Kruskal of its own
-        assert counts["mst"] == 3
-        # the components of T minus F; the cut sequence itself builds none
-        assert counts["union_find"] <= 1
+        # two, whatever t: T = MST(G), inside the run's one `TreePricer`,
+        # and T' = MST(G minus F), which gives the prime edges T' minus T
+        # and the profit; the pricer labels the components of T minus F and
+        # prices every cut of check (f) from the pieces of T minus C, with
+        # no Kruskal of its own
+        assert counts["mst"] == 2
+        # the pricer's labelling and the cut sequence's relabelling need none
+        assert counts["union_find"] == 0
         assert counts["kruskal_order"] == 1
