@@ -6,9 +6,10 @@ modeled as uncuttable (capacity above any finite cut).  A minimum s-t cut is
 canonical: the source side is the residual-reachability set after a maximum
 flow, which is the unique source-side-minimal minimum cut.  A `CutNetwork`
 is the flow network over the participating edges, built once; each
-`min_st_cut` on it runs one flow from the base capacities.  A global
-minimum cut needs no flow: maximum-adjacency passes contract every edge
-that no cut cheaper than the best one found can cross (Nagamochi and
+`min_st_cut` on it runs one Dinic flow from the base capacities, and the
+flow's last breadth-first search, the one that misses t, labels that side.
+A global minimum cut needs no flow: maximum-adjacency passes contract every
+edge that no cut cheaper than the best one found can cross (Nagamochi and
 Ibaraki 1992), and Padberg and Rinaldi's test 2 contracts between passes.
 Given a bound, it looks only for a cut strictly below it.  `min_cut` is the
 one entry to the contraction: `global_min_cut` hands it a `Graph`'s edges,
@@ -16,7 +17,6 @@ and the eps sweep the (root, root, cost) edges of one class component.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable
@@ -61,41 +61,54 @@ class CutNetwork:
             self.to += (e.v, e.u)
             self.base_cap += (capacity, capacity)
         self.cap = self.base_cap[:]
+        self.reached: list[int] = []
 
     def max_flow(self, s: int, t: int) -> int:
-        """The value of a maximum s-t flow from the base capacities; `cap`
-        keeps its residual capacities."""
+        """The value of a maximum s-t flow from the base capacities.  `cap`
+        keeps its residual capacities and `reached` the vertices that the
+        last breadth-first search labelled, which is the residual-reachable
+        set of s."""
         head, to, cap = self.head, self.to, self.cap
         cap[:] = self.base_cap
+        n = self.n_vertices
         flow = 0
         while True:
-            level = [-1] * self.n_vertices
+            # breadth-first levels, stopped once t is labelled: any other
+            # vertex at t's level is a dead end for every level path
+            level = [-1] * n
             level[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
+            reached = [s]
+            for u in reached:
+                next_level = level[u] + 1
                 for a in head[u]:
-                    v = to[a]
-                    if cap[a] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
+                    if cap[a] and level[to[a]] < 0:
+                        level[to[a]] = next_level
+                        reached.append(to[a])
+                if level[t] >= 0:
+                    break
+            else:
+                self.reached = reached
                 return flow
             # blocking flow by an iterative depth-first walk along level
             # arcs; `path` holds the arcs from s to the walk's vertex
-            it = [0] * self.n_vertices
+            it = [0] * n
             path: list[int] = []
             u = s
             while True:
                 if u == t:
-                    pushed = min(cap[a] for a in path)
+                    # the bottleneck, and the first arc that it saturates
+                    first = 0
+                    pushed = cap[path[0]]
+                    for k in range(1, len(path)):
+                        if cap[path[k]] < pushed:
+                            pushed = cap[path[k]]
+                            first = k
                     for a in path:
                         cap[a] -= pushed
                         cap[a ^ 1] += pushed
                     flow += pushed
                     # resume at the tail of the first saturated arc
-                    k = next(k for k, a in enumerate(path) if cap[a] == 0)
-                    del path[k:]
+                    del path[first:]
                     u = to[path[-1]] if path else s
                     continue
                 arcs = head[u]
@@ -104,7 +117,7 @@ class CutNetwork:
                 next_level = level[u] + 1
                 while i < n_arcs:
                     a = arcs[i]
-                    if cap[a] > 0 and level[to[a]] == next_level:
+                    if cap[a] and level[to[a]] == next_level:
                         break
                     i += 1
                 it[u] = i
@@ -118,18 +131,6 @@ class CutNetwork:
                     a = path.pop()
                     u = to[a ^ 1]
                     it[u] += 1
-
-    def residual_reachable(self, s: int) -> set[int]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for a in self.head[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
 
 
 def _cut_of_side(g: Graph, participating: Iterable[int], side: set[int]) -> CutResult:
@@ -147,8 +148,7 @@ def min_st_cut(net: CutNetwork, s: int, t: int) -> CutResult:
     if s == t:
         raise ValueError("s and t must differ")
     flow = net.max_flow(s, t)
-    side = net.residual_reachable(s)
-    result = _cut_of_side(net.g, net.participating, side)
+    result = _cut_of_side(net.g, net.participating, set(net.reached))
     # strong duality: the flow value must equal the cut cost
     if result.cost.is_finite:
         if flow != result.cost.units:

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .quantities import (
+    QUANTITY_MAX,
+    SCALE,
     InputError,
     QuantityParseError,
     check_quantity,
@@ -33,7 +35,7 @@ class ParseError(InputError):
     """The instance text does not conform to the format."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     u: int
     v: int
@@ -41,7 +43,7 @@ class Edge:
     cost: int | None  # scaled units > 0, or None for the infinity sentinel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """A buildable edge from the optional `protect` section."""
 
@@ -58,20 +60,24 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if self.n_vertices < 1:
+        n = self.n_vertices
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
         for i, e in enumerate(self.edges):
-            if not (0 <= e.u < self.n_vertices and 0 <= e.v < self.n_vertices):
+            u, v, weight, cost = e.u, e.v, e.weight, e.cost
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {i}: endpoint out of range")
-            if e.u == e.v:
+            if u == v:
                 raise ValueError(f"edge {i}: self-loop rejected")
-            if e.weight < 0:
+            if weight < 0:
                 raise ValueError(f"edge {i}: negative weight")
-            if e.cost is not None and e.cost <= 0:
+            if cost is not None and cost <= 0:
                 raise ValueError(f"edge {i}: non-positive cost")
-            check_quantity(e.weight)
-            if e.cost is not None:
-                check_quantity(e.cost)
+            # past the checks above only the upper end of the range is left
+            if weight > QUANTITY_MAX:
+                check_quantity(weight)
+            if cost is not None and cost > QUANTITY_MAX:
+                check_quantity(cost)
 
     @property
     def n_edges(self) -> int:
@@ -105,14 +111,6 @@ class Graph:
         return Graph(self.n_vertices, self.edges + tuple(extra))
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line.split()
-
-
 def _parse_cost(token: str, lineno: int) -> int | None:
     if token == "inf":
         return None
@@ -132,9 +130,38 @@ def _parse_weight(token: str, lineno: int) -> int:
         raise ParseError(f"line {lineno}: {exc}") from exc
 
 
+def _candidate(parts: list[str], lineno: int, n: int) -> Candidate:
+    if len(parts) != 5:
+        raise ParseError(f"line {lineno}: expected `u v weight build_cost removal_cost`")
+    try:
+        u, v = parse_digits(parts[0]), parse_digits(parts[1])
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: bad endpoint") from exc
+    weight = _parse_weight(parts[2], lineno)
+    build = _parse_cost(parts[3], lineno)
+    removal = _parse_cost(parts[4], lineno)
+    if build is None or removal is None:
+        raise ParseError(f"line {lineno}: candidate costs must be finite")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ParseError(f"line {lineno}: endpoint out of range")
+    if u == v:
+        raise ParseError(f"line {lineno}: self-loop rejected")
+    return Candidate(u, v, weight, build, removal)
+
+
 def parse_instance_full(text: str) -> tuple[Graph, tuple[Candidate, ...]]:
-    """Parse an instance, including the optional protection section."""
-    lines = _content_lines(text)
+    """Parse an instance, including the optional protection section.
+
+    One pass: each line is split once and parsed before the next is read.
+    """
+    numbered = enumerate(text.splitlines(), start=1)
+    # (line number, tokens) of each content line, drawn from `numbered`
+    # too; the first token of a comment line starts with `#`
+    lines = (
+        (lineno, parts)
+        for lineno, raw in numbered
+        if (parts := raw.split()) and parts[0][0] != "#"
+    )
     try:
         lineno, header = next(lines)
     except StopIteration:
@@ -150,53 +177,71 @@ def parse_instance_full(text: str) -> tuple[Graph, tuple[Candidate, ...]]:
     if n > MAX_VERTICES:
         raise ParseError(f"line {lineno}: more than 10**6 vertices")
 
+    # the hot loop: the content filter, parse_digits and the plain-integer
+    # case of parse_quantity inline (at most 12 ASCII digits is below 10**18
+    # units, always in range); an ASCII text needs no per-token ASCII test
+    ascii_text = text.isascii()
     edges = []
-    for _ in range(m):
-        try:
-            lineno, parts = next(lines)
-        except StopIteration:
-            raise ParseError("unexpected end of input in edge list") from None
-        if len(parts) != 4:
-            raise ParseError(f"line {lineno}: expected `u v weight cost`")
-        try:
-            u, v = parse_digits(parts[0]), parse_digits(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad endpoint") from exc
-        weight = _parse_weight(parts[2], lineno)
-        cost = _parse_cost(parts[3], lineno)
-        edges.append(Edge(u, v, weight, cost))
+    if m:
+        for lineno, raw in numbered:
+            parts = raw.split()
+            if not parts or parts[0][0] == "#":
+                continue
+            if len(parts) != 4:
+                raise ParseError(f"line {lineno}: expected `u v weight cost`")
+            u, v, weight, cost = parts
+            try:
+                if not (
+                    u.isdigit() and v.isdigit() and (ascii_text or u.isascii() and v.isascii())
+                ):
+                    raise ValueError("not a digit string")
+                u, v = int(u), int(v)  # ValueError past 4300 digits
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad endpoint") from exc
+            if len(weight) <= 12 and weight.isdigit() and (ascii_text or weight.isascii()):
+                weight = int(weight) * SCALE
+            else:
+                weight = _parse_weight(weight, lineno)
+            # a leading 0 goes to _parse_cost, which rejects a zero cost
+            if (
+                len(cost) <= 12
+                and cost.isdigit()
+                and (ascii_text or cost.isascii())
+                and cost[0] != "0"
+            ):
+                cost = int(cost) * SCALE
+            else:
+                cost = _parse_cost(cost, lineno)
+            edges.append(Edge(u, v, weight, cost))
+            if len(edges) == m:
+                break
+        else:
+            raise ParseError("unexpected end of input in edge list")
 
     candidates: list[Candidate] = []
-    tail = list(lines)
-    if tail:
-        lineno, parts = tail[0]
+    protect = next(lines, None)
+    if protect is not None:
+        lineno, parts = protect
         if parts[0] != "protect" or len(parts) != 2:
             raise ParseError(f"line {lineno}: expected `protect k` or end of file")
         try:
             k = parse_digits(parts[1])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad protect count") from exc
-        if len(tail) - 1 != k:
+        # the line count is checked before the contents of any line
+        count = 0
+        error = None
+        for at, parts in lines:
+            count += 1
+            if error is None and count <= k:
+                try:
+                    candidates.append(_candidate(parts, at, n))
+                except InputError as exc:
+                    error = exc
+        if count != k:
             raise ParseError(f"line {lineno}: protect section expects {k} lines")
-        for lineno, parts in tail[1:]:
-            if len(parts) != 5:
-                raise ParseError(
-                    f"line {lineno}: expected `u v weight build_cost removal_cost`"
-                )
-            try:
-                u, v = parse_digits(parts[0]), parse_digits(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad endpoint") from exc
-            weight = _parse_weight(parts[2], lineno)
-            build = _parse_cost(parts[3], lineno)
-            removal = _parse_cost(parts[4], lineno)
-            if build is None or removal is None:
-                raise ParseError(f"line {lineno}: candidate costs must be finite")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"line {lineno}: endpoint out of range")
-            if u == v:
-                raise ParseError(f"line {lineno}: self-loop rejected")
-            candidates.append(Candidate(u, v, weight, build, removal))
+        if error is not None:
+            raise error
 
     try:
         graph = Graph(n, tuple(edges))

@@ -60,17 +60,28 @@ def parse_digits(token: str) -> int:
     return int(token)
 
 
+def _echo(token: str) -> str:
+    """A token as an error message shows it: its repr, cut to its first 24
+    characters and its length when longer, so the message stays one short
+    line."""
+    if len(token) <= 24:
+        return repr(token)
+    return f"{token[:24]!r}... ({len(token)} characters)"
+
+
 def parse_quantity(token: str) -> int:
     """Parse a nonnegative decimal literal into scaled integer units."""
     text = token.strip()
     whole, _, frac = text.partition(".")
     digits = whole + frac  # ASCII only: str.isdigit also admits '٣'
     if not (digits.isascii() and digits.isdigit()):
-        raise QuantityParseError(f"bad quantity literal: {token!r}")
+        raise QuantityParseError(f"bad quantity literal: {_echo(token)}")
     if len(frac) > FRACTION_DIGITS:
-        raise QuantityParseError(f"more than {FRACTION_DIGITS} fractional digits: {token!r}")
+        raise QuantityParseError(
+            f"more than {FRACTION_DIGITS} fractional digits: {_echo(token)}"
+        )
     if len(whole.lstrip("0")) > 19:  # past 2**63, and int() stops at 4300 digits
-        raise QuantityOverflowError(f"quantity out of range: {token!r}")
+        raise QuantityOverflowError(f"quantity out of range: {_echo(token)}")
     units = int(whole or "0") * SCALE + int(frac.ljust(FRACTION_DIGITS, "0"))
     return check_quantity(units)
 

@@ -2,17 +2,28 @@
 
 The helpers here deliberately avoid the library's own engines: cuts by
 bipartition scan, spanning trees by edge-subset enumeration, covers by
-subset enumeration.  Slow and obviously correct.
+subset enumeration.  Slow and obviously correct.  The references at the
+end are earlier, plainer versions of a library layer, kept to test the
+current one against.
 """
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 
-from mstint.graph import Edge, Graph
-from mstint.quantities import INFINITY, ExtendedValue, finite
+from mstint.graph import MAX_VERTICES, Candidate, Edge, Graph, ParseError
+from mstint.quantities import (
+    INFINITY,
+    ExtendedValue,
+    QuantityParseError,
+    check_quantity,
+    finite,
+    parse_digits,
+    parse_quantity,
+)
 
 # one line per acceptance criterion, echoed after the test run so the
 # verdicts survive pytest's output capture
@@ -185,3 +196,199 @@ def stoer_wagner_cost(g: Graph) -> ExtendedValue:
         adj[gone] = {}
         alive.remove(gone)
     return INFINITY if best >= big else finite(best)
+
+
+def reference_graph_checks(n: int, edges) -> None:
+    """The checks of `Graph.__post_init__`, each through `check_quantity`."""
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    for i, e in enumerate(edges):
+        if not (0 <= e.u < n and 0 <= e.v < n):
+            raise ValueError(f"edge {i}: endpoint out of range")
+        if e.u == e.v:
+            raise ValueError(f"edge {i}: self-loop rejected")
+        if e.weight < 0:
+            raise ValueError(f"edge {i}: negative weight")
+        if e.cost is not None and e.cost <= 0:
+            raise ValueError(f"edge {i}: non-positive cost")
+        check_quantity(e.weight)
+        if e.cost is not None:
+            check_quantity(e.cost)
+
+
+def _reference_content_lines(text: str):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield lineno, line.split()
+
+
+def _reference_cost(token: str, lineno: int) -> int | None:
+    if token == "inf":
+        return None
+    try:
+        cost = parse_quantity(token)
+    except QuantityParseError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from exc
+    if cost <= 0:
+        raise ParseError(f"line {lineno}: cost must be positive")
+    return cost
+
+
+def _reference_weight(token: str, lineno: int) -> int:
+    try:
+        return parse_quantity(token)
+    except QuantityParseError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from exc
+
+
+def reference_parse_instance_full(text: str) -> tuple[Graph, tuple[Candidate, ...]]:
+    """The reference for `graph.parse_instance_full`: a generator of split
+    lines, every token through `parse_digits` or `parse_quantity`, and the
+    protect section read whole before its count is checked."""
+    lines = _reference_content_lines(text)
+    try:
+        lineno, header = next(lines)
+    except StopIteration:
+        raise ParseError("empty instance") from None
+    if len(header) != 2:
+        raise ParseError(f"line {lineno}: expected `n m` header")
+    try:
+        n, m = parse_digits(header[0]), parse_digits(header[1])
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: bad header") from exc
+    if n < 1:
+        raise ParseError(f"line {lineno}: bad header values")
+    if n > MAX_VERTICES:
+        raise ParseError(f"line {lineno}: more than 10**6 vertices")
+
+    edges = []
+    for _ in range(m):
+        try:
+            lineno, parts = next(lines)
+        except StopIteration:
+            raise ParseError("unexpected end of input in edge list") from None
+        if len(parts) != 4:
+            raise ParseError(f"line {lineno}: expected `u v weight cost`")
+        try:
+            u, v = parse_digits(parts[0]), parse_digits(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad endpoint") from exc
+        weight = _reference_weight(parts[2], lineno)
+        cost = _reference_cost(parts[3], lineno)
+        edges.append(Edge(u, v, weight, cost))
+
+    candidates: list[Candidate] = []
+    tail = list(lines)
+    if tail:
+        lineno, parts = tail[0]
+        if parts[0] != "protect" or len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected `protect k` or end of file")
+        try:
+            k = parse_digits(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad protect count") from exc
+        if len(tail) - 1 != k:
+            raise ParseError(f"line {lineno}: protect section expects {k} lines")
+        for lineno, parts in tail[1:]:
+            if len(parts) != 5:
+                raise ParseError(
+                    f"line {lineno}: expected `u v weight build_cost removal_cost`"
+                )
+            try:
+                u, v = parse_digits(parts[0]), parse_digits(parts[1])
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad endpoint") from exc
+            weight = _reference_weight(parts[2], lineno)
+            build = _reference_cost(parts[3], lineno)
+            removal = _reference_cost(parts[4], lineno)
+            if build is None or removal is None:
+                raise ParseError(f"line {lineno}: candidate costs must be finite")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(f"line {lineno}: endpoint out of range")
+            if u == v:
+                raise ParseError(f"line {lineno}: self-loop rejected")
+            candidates.append(Candidate(u, v, weight, build, removal))
+
+    try:
+        reference_graph_checks(n, edges)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    # outside the mapping: an error that only Graph's own checks raise
+    # shows as a plain ValueError, never as the reference's ParseError
+    return Graph(n, tuple(edges)), tuple(candidates)
+
+
+def reference_min_st_cut(g: Graph, participating, s: int, t: int) -> tuple[int, set[int]]:
+    """(flow value, source side) of a minimum s-t cut over the participating
+    edges: Dinic with a full breadth-first search and fresh per-phase arrays
+    each phase, then a separate residual search for the side.  The reference
+    for `cuts.CutNetwork.max_flow` and the side `cuts.min_st_cut` reads."""
+    edges = [g.edges[i] for i in sorted(participating)]
+    n = g.n_vertices
+    big = sum(e.cost for e in edges if e.cost is not None) + 1
+    head: list[list[int]] = [[] for _ in range(n)]
+    to: list[int] = []
+    cap: list[int] = []
+    for e in edges:
+        capacity = big if e.cost is None else e.cost
+        head[e.u].append(len(to))
+        head[e.v].append(len(to) + 1)
+        to += (e.v, e.u)
+        cap += (capacity, capacity)
+    flow = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for a in head[u]:
+                v = to[a]
+                if cap[a] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[t] < 0:
+            break
+        it = [0] * n
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                pushed = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
+                flow += pushed
+                k = next(k for k, a in enumerate(path) if cap[a] == 0)
+                del path[k:]
+                u = to[path[-1]] if path else s
+                continue
+            arcs = head[u]
+            i = it[u]
+            while i < len(arcs):
+                a = arcs[i]
+                if cap[a] > 0 and level[to[a]] == level[u] + 1:
+                    break
+                i += 1
+            it[u] = i
+            if i < len(arcs):
+                path.append(a)
+                u = to[a]
+            elif u == s:
+                break
+            else:
+                a = path.pop()
+                u = to[a ^ 1]
+                it[u] += 1
+    seen = {s}
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        for a in head[u]:
+            v = to[a]
+            if cap[a] > 0 and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return flow, seen

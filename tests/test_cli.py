@@ -423,6 +423,25 @@ def test_quantity_overflow_is_input_error(capsys, tmp_path):
         assert len(err.splitlines()) == 1
 
 
+def test_out_of_range_quantity_echo_is_short(capsys, tmp_path):
+    # a 5000-digit literal is echoed as its first characters and its length
+    huge = "9" * 5000
+    (tmp_path / "weight").write_text(f"2 1\n0 1 {huge} 1\n")
+    (tmp_path / "cost").write_text(f"2 1\n0 1 1 {huge}\n")
+    (tmp_path / "t3").write_text("3 3\n0 1 1 1\n1 2 2 1\n0 2 3 1\n")
+    for argv in (
+        ["mst", str(tmp_path / "weight")],
+        ["mst", str(tmp_path / "cost")],
+        ["profit", str(tmp_path / "t3"), "--budget", huge],
+        ["budget", str(tmp_path / "t3"), "--delta", huge],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 2, argv[:2]
+        assert err.startswith("error: quantity out of range"), err[:80]
+        assert len(err.splitlines()) == 1 and len(err.rstrip("\n")) < 120, err[:80]
+        assert "(5000 characters)" in err
+
+
 def test_range_checks_answers_not_internal_sums(capsys, tmp_path):
     # capacities and candidate cut costs may pass 2**63 - 1 units; only an
     # answer must fit, so the solvers answer where the oracles do

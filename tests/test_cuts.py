@@ -6,6 +6,7 @@ from conftest import (
     brute_components,
     brute_min_st_cut_cost,
     brute_min_st_cut_sides,
+    reference_min_st_cut,
     stoer_wagner_cost,
 )
 from mstint.cuts import CutNetwork, global_min_cut, min_st_cut
@@ -183,3 +184,42 @@ def test_global_min_cut_matches_stoer_wagner():
         infinite += expected == INFINITY
         cycles += len(g.edges) == g.n_vertices
     assert disconnected >= 20 and infinite >= 20 and cycles >= 20
+
+
+def test_min_st_cut_matches_reference_flow():
+    # the flow value and the source side of every cut, against Dinic with
+    # full searches and a separate residual search for the side
+    rng = random.Random(28)
+    adjacent = infinite = disconnected = 0
+    for seed in range(200):
+        n = 2 + seed % 59
+        edges = []
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            cost = None if rng.random() < 0.2 else rng.randint(1, 9)
+            edges.append(Edge(u, v, rng.randint(0, 3), cost))
+        for e in rng.sample(edges, min(4, len(edges))):  # parallel edges
+            edges.append(Edge(e.v, e.u, e.weight, rng.randint(1, 9)))
+        g = Graph(n, tuple(edges))
+        everything = range(g.n_edges)
+        light = [i for i, e in enumerate(edges) if e.weight < 2]
+        half = [i for i in everything if rng.random() < 0.5]
+        for participating in (everything, light, half):
+            net = CutNetwork(g, participating)
+            pairs = [tuple(rng.sample(range(n), 2)) for _ in range(3)]
+            if participating:
+                e = edges[rng.choice(list(participating))]
+                pairs.append((e.u, e.v))  # s adjacent to t
+                adjacent += 1
+            for s, t in pairs:
+                flow, side = reference_min_st_cut(g, participating, s, t)
+                cut = min_st_cut(net, s, t)
+                assert net.max_flow(s, t) == flow, (seed, s, t)
+                assert cut.side == side, (seed, s, t)
+                if cut.cost.is_finite:
+                    assert cut.cost.units == flow, (seed, s, t)
+                else:
+                    assert flow >= net.big, (seed, s, t)
+                    infinite += 1
+                disconnected += not cut.edges
+    assert adjacent >= 500 and infinite >= 100 and disconnected >= 100
