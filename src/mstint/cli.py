@@ -26,6 +26,7 @@ from .quantities import (
     GuaranteeError,
     InputError,
     QuantityParseError,
+    echo,
     format_quantity,
     parse_digits,
     parse_quantity,
@@ -131,11 +132,18 @@ def _parse_edge_list(token: str, g: Graph) -> frozenset[int]:
     try:
         indices = frozenset(parse_digits(part) for part in token.split(",") if part)
     except ValueError as exc:
-        raise InputError(f"bad edge list: {token!r}") from exc
+        raise InputError(f"bad edge list: {echo(token)}") from exc
     for i in indices:
         if not 0 <= i < g.n_edges:
-            raise InputError(f"edge index out of range: {i}")
+            raise InputError(f"edge index out of range: {echo(str(i))}")
     return indices
+
+
+def _digits(token: str) -> int:
+    try:
+        return parse_digits(token)
+    except ValueError:  # argparse would echo the whole token
+        raise argparse.ArgumentTypeError(f"invalid value: {echo(token)}") from None
 
 
 def _cmd_certify(args) -> int:
@@ -209,16 +217,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a generated instance to stdout")
     gen_sub = p.add_subparsers(dest="family", required=True)
     pr = gen_sub.add_parser("random")
-    pr.add_argument("--seed", type=parse_digits, required=True)
-    pr.add_argument("--n", type=parse_digits, required=True)
-    pr.add_argument("--m", type=parse_digits, required=True)
-    pr.add_argument("--max-weight", type=parse_digits, default=100)
-    pr.add_argument("--max-cost", type=parse_digits, default=100)
+    pr.add_argument("--seed", type=_digits, required=True)
+    pr.add_argument("--n", type=_digits, required=True)
+    pr.add_argument("--m", type=_digits, required=True)
+    pr.add_argument("--max-weight", type=_digits, default=100)
+    pr.add_argument("--max-cost", type=_digits, default=100)
     pr.set_defaults(func=_cmd_gen)
     pb = gen_sub.add_parser("bad")
-    pb.add_argument("--heavy-weight", type=parse_digits, default=100)
-    pb.add_argument("--removals", type=parse_digits, default=4)
-    pb.add_argument("--components", type=parse_digits, default=5)
+    pb.add_argument("--heavy-weight", type=_digits, default=100)
+    pb.add_argument("--removals", type=_digits, default=4)
+    pb.add_argument("--components", type=_digits, default=5)
     pb.set_defaults(func=_cmd_gen)
     return parser
 

@@ -107,9 +107,6 @@ class Graph:
             at[e.v].append(i)
         return tuple(map(tuple, at))
 
-    def with_edges(self, extra: Iterable[Edge]) -> "Graph":
-        return Graph(self.n_vertices, self.edges + tuple(extra))
-
 
 def _parse_cost(token: str, lineno: int) -> int | None:
     if token == "inf":

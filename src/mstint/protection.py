@@ -1,5 +1,8 @@
 """Defense against the minimum-cost increase: generate the optimal cuts one
 at a time and cover them with buildable edges via greedy weighted set cover.
+A candidate lowers the MST weight iff T minus T's edges heavier than it
+separates its ends (the cycle property); the base graph's one rooted T is
+labelled into those pieces once per distinct candidate weight.
 """
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ from heapq import heapify, heappop, heappush
 
 from .eps import eps_increase
 from .graph import Candidate, Edge, Graph
-from .mst import DisconnectedGraphError, PartialCutSpec, mst, partial_cut
+from .mst import PartialCutSpec, TreePricer, partial_cut
 from .quantities import GuaranteeError, InputError
 
 
@@ -28,24 +31,24 @@ class ProtectionInstance:
     candidates: tuple[Candidate, ...]
 
     def __post_init__(self) -> None:
-        base_weight = mst(self.base).weight
-        # else a candidate that joins two components is blamed for lowering it
-        if not base_weight.is_finite:
-            raise DisconnectedGraphError("graph is disconnected")
-        for idx, c in enumerate(self.candidates):
-            augmented = self.base.with_edges(
-                [Edge(c.u, c.v, c.weight, c.removal_cost)]
-            )
-            if mst(augmented).weight != base_weight:
-                raise CandidateInvariantError(
-                    f"candidate {idx} reduces the MST weight"
-                )
+        pricer = TreePricer(self.base)  # the connectivity check
+        cands, edges = self.candidates, self.base.edges
+        # one graph checks every candidate's ends, weight and removal cost
+        Graph(self.base.n_vertices, tuple(Edge(c.u, c.v, c.weight, c.removal_cost) for c in cands))
+        by_weight: dict[int, list[int]] = {}
+        for idx, c in enumerate(cands):
+            by_weight.setdefault(c.weight, []).append(idx)
+        bad = []
+        for weight, indices in by_weight.items():
+            piece = pricer.pieces([i for i in pricer.tree.edges if edges[i].weight > weight])
+            bad += (i for i in indices if piece[cands[i].u] != piece[cands[i].v])
+        if bad:
+            raise CandidateInvariantError(f"candidate {min(bad)} reduces the MST weight")
 
     def augmented(self, chosen) -> Graph:
-        return self.base.with_edges(
-            Edge(c.u, c.v, c.weight, c.removal_cost)
-            for c in (self.candidates[i] for i in sorted(chosen))
-        )
+        built = [self.candidates[i] for i in sorted(chosen)]
+        extra = tuple(Edge(c.u, c.v, c.weight, c.removal_cost) for c in built)
+        return Graph(self.base.n_vertices, self.base.edges + extra)
 
 
 @dataclass(frozen=True)

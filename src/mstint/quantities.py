@@ -56,11 +56,11 @@ def parse_digits(token: str) -> int:
     """A nonnegative integer in ASCII digits 0-9, else ValueError; int()
     alone also reads '٣' as 3, '1_0' as 10 and '+0' as 0."""
     if not (token.isascii() and token.isdigit()):
-        raise ValueError(f"not a digit string: {token!r}")
+        raise ValueError(f"not a digit string: {echo(token)}")
     return int(token)
 
 
-def _echo(token: str) -> str:
+def echo(token: str) -> str:
     """A token as an error message shows it: its repr, cut to its first 24
     characters and its length when longer, so the message stays one short
     line."""
@@ -75,13 +75,13 @@ def parse_quantity(token: str) -> int:
     whole, _, frac = text.partition(".")
     digits = whole + frac  # ASCII only: str.isdigit also admits '٣'
     if not (digits.isascii() and digits.isdigit()):
-        raise QuantityParseError(f"bad quantity literal: {_echo(token)}")
+        raise QuantityParseError(f"bad quantity literal: {echo(token)}")
     if len(frac) > FRACTION_DIGITS:
         raise QuantityParseError(
-            f"more than {FRACTION_DIGITS} fractional digits: {_echo(token)}"
+            f"more than {FRACTION_DIGITS} fractional digits: {echo(token)}"
         )
     if len(whole.lstrip("0")) > 19:  # past 2**63, and int() stops at 4300 digits
-        raise QuantityOverflowError(f"quantity out of range: {_echo(token)}")
+        raise QuantityOverflowError(f"quantity out of range: {echo(token)}")
     units = int(whole or "0") * SCALE + int(frac.ljust(FRACTION_DIGITS, "0"))
     return check_quantity(units)
 

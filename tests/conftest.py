@@ -15,6 +15,8 @@ from collections import deque
 import pytest
 
 from mstint.graph import MAX_VERTICES, Candidate, Edge, Graph, ParseError
+from mstint.mst import DisconnectedGraphError, mst
+from mstint.protection import CandidateInvariantError
 from mstint.quantities import (
     INFINITY,
     ExtendedValue,
@@ -392,3 +394,16 @@ def reference_min_st_cut(g: Graph, participating, s: int, t: int) -> tuple[int, 
                 seen.add(v)
                 stack.append(v)
     return flow, seen
+
+
+def reference_candidate_check(base: Graph, candidates) -> None:
+    """The candidate check of `ProtectionInstance` by rebuilding: a Kruskal
+    on the base graph, then one on the base graph plus each candidate, in
+    index order; the first candidate that lowers the MST weight is refused."""
+    base_weight = mst(base).weight
+    if not base_weight.is_finite:
+        raise DisconnectedGraphError("graph is disconnected")
+    for idx, c in enumerate(candidates):
+        augmented = Graph(base.n_vertices, base.edges + (Edge(c.u, c.v, c.weight, c.removal_cost),))
+        if mst(augmented).weight != base_weight:
+            raise CandidateInvariantError(f"candidate {idx} reduces the MST weight")

@@ -442,6 +442,29 @@ def test_out_of_range_quantity_echo_is_short(capsys, tmp_path):
         assert "(5000 characters)" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "T3", "--edges", "x" * 3000],
+        ["certify", "T3", "--edges", "9" * 3000],  # in int()'s limit, out of range
+        ["certify", "T3", "--edges", "0," + "9" * 5000],  # past int()'s limit
+        ["gen", "random", "--seed", "x" * 3000, "--n", "5", "--m", "7"],
+        ["gen", "random", "--seed", "9" * 5000, "--n", "5", "--m", "7"],
+        ["gen", "bad", "--components", "x" * 3000],
+    ],
+)
+def test_long_tokens_are_echoed_short(capsys, t3_file, argv):
+    argv = [t3_file if a == "T3" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the option itself
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err and all(len(line) < 120 for line in err.splitlines()), err[:200]
+    assert "characters)" in err
+
+
 def test_range_checks_answers_not_internal_sums(capsys, tmp_path):
     # capacities and candidate cut costs may pass 2**63 - 1 units; only an
     # answer must fit, so the solvers answer where the oracles do
@@ -788,6 +811,27 @@ def test_protect_2000_vertex_unit_cycle(capsys, tmp_path):
     assert "not coverable" in err and len(err.splitlines()) == 1
     # the cut is named by its edges and its side's size, not every vertex
     assert len(err) < 200, err
+
+
+def test_protect_5000_vertex_path(capsys, tmp_path):
+    # a unit path closed by a weight-2 edge, cost 10 but on one edge of cost
+    # 1, and a mirror of each path edge: only the cost-1 edge's mirror is built
+    n, cheap = 5000, 2500
+    costs = [1 if i == cheap else 10 for i in range(n - 1)]
+    path = tmp_path / "path.txt"
+    path.write_text(
+        f"{n} {n}\n"
+        + "".join(f"{i} {i + 1} 1 {costs[i]}\n" for i in range(n - 1))
+        + f"{n - 1} 0 2 10\n"
+        + f"protect {n - 1}\n"
+        + "".join(f"{i} {i + 1} 1 1 10\n" for i in range(n - 1))
+    )
+    code, out, err = run(capsys, ["protect", str(path), "--json"])
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["chosen_candidates"] == [cheap]
+    assert (record["eps_cost_before"], record["eps_cost_after"]) == ("1", "10")
+    assert record["n_cuts"] == 1
 
 
 def test_parser_built_once_and_solvers_looked_up_per_call(capsys, monkeypatch, t3_file):

@@ -1,12 +1,14 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import reference_candidate_check
 from mstint.eps import eps_increase
 from mstint.generators import gen_random
 from mstint.graph import Candidate, Edge, Graph
-from mstint.mst import PartialCutSpec, mst, partial_cut, profit
+from mstint.mst import DisconnectedGraphError, PartialCutSpec, mst, partial_cut, profit
 from mstint.protection import (
     CandidateInvariantError,
     ProtectionInstance,
@@ -18,6 +20,8 @@ from mstint.protection import (
 from mstint.quantities import ZERO, GuaranteeError
 
 SCALE = 1_000_000
+
+mst_module = importlib.import_module("mstint.mst")
 
 
 def mirror_candidates(g: Graph, rng: random.Random, count: int) -> tuple[Candidate, ...]:
@@ -37,31 +41,42 @@ def mirror_candidates(g: Graph, rng: random.Random, count: int) -> tuple[Candida
     )
 
 
-def offset_candidates(g: Graph, rng: random.Random, count: int) -> tuple[Candidate, ...]:
-    """Candidates beside random edges, weighing the heaviest MST edge on the
-    tree path between the edge's ends plus 0, 1/2, 1 or 3/2 units: never below
-    that MST edge, so the invariant holds, and often strictly between two
-    edge weights."""
+def tree_adjacency(g: Graph) -> dict[int, list[tuple[int, int]]]:
+    """(neighbour, weight) pairs of each vertex over the edges of MST(g)."""
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n_vertices)}
     for i in mst(g).edges:
         e = g.edges[i]
         adj[e.u].append((e.v, e.weight))
         adj[e.v].append((e.u, e.weight))
+    return adj
+
+
+def heaviest_on_tree_path(adj, u: int, v: int) -> int | None:
+    """The heaviest weight on the tree path from u to v, by a search from u;
+    None when v lies in another component."""
+    heaviest = {u: 0}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        for y, w in adj[x]:
+            if y not in heaviest:
+                heaviest[y] = max(heaviest[x], w)
+                stack.append(y)
+    return heaviest.get(v)
+
+
+def offset_candidates(g: Graph, rng: random.Random, count: int) -> tuple[Candidate, ...]:
+    """Candidates beside random edges, weighing the heaviest MST edge on the
+    tree path between the edge's ends plus 0, 1/2, 1 or 3/2 units: never below
+    that MST edge, so the invariant holds, and often strictly between two
+    edge weights."""
+    adj = tree_adjacency(g)
     picks = []
     for _ in range(count):
         e = g.edges[rng.randrange(g.n_edges)]
-        u, v = e.u, e.v
-        heaviest = {u: 0}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y, w in adj[x]:
-                if y not in heaviest:
-                    heaviest[y] = max(heaviest[x], w)
-                    stack.append(y)
-        weight = heaviest[v] + rng.choice((0, 1, 2, 3)) * SCALE // 2
+        weight = heaviest_on_tree_path(adj, e.u, e.v) + rng.choice((0, 1, 2, 3)) * SCALE // 2
         picks.append(
-            Candidate(u, v, weight, rng.randint(1, 5) * SCALE, rng.randint(1, 5) * SCALE)
+            Candidate(e.u, e.v, weight, rng.randint(1, 5) * SCALE, rng.randint(1, 5) * SCALE)
         )
     return tuple(picks)
 
@@ -134,6 +149,114 @@ def test_invariant_validation(t3):
     # a light shortcut edge would lower the MST: rejected
     with pytest.raises(CandidateInvariantError):
         ProtectionInstance(t3, (Candidate(0, 2, 500_000, SCALE, 5 * SCALE),))
+
+
+KINDS = ("mirror", "shortcut", "between", "zero", "above", "parallel", "duplicate")
+
+
+def mixed_candidates(g: Graph, rng: random.Random, count: int, kinds) -> list[Candidate]:
+    """Candidates of the given kinds: equal-weight mirrors of tree edges,
+    shortcuts lighter than the heaviest tree edge on their path, weights
+    half a unit above a base weight, weight 0, weights above the heaviest
+    edge, parallels to a base edge at its weight or one unit off it, and
+    duplicates of an earlier candidate."""
+    weights = sorted({e.weight for e in g.edges}) or [0]
+    tree, adj = sorted(mst(g).edges), tree_adjacency(g)
+    out: list[Candidate] = []
+    for _ in range(count):
+        kind = rng.choice(kinds)
+        u, v = rng.sample(range(g.n_vertices), 2)
+        if kind == "mirror" and tree:
+            e = g.edges[rng.choice(tree)]
+            u, v, weight = e.u, e.v, e.weight
+        elif kind == "shortcut":
+            top = heaviest_on_tree_path(adj, u, v) or 0
+            weight = max(0, top - rng.choice((1, SCALE // 2, SCALE)))
+        elif kind == "between":
+            weight = rng.choice(weights) + SCALE // 2
+        elif kind == "above":
+            weight = weights[-1] + rng.choice((1, SCALE, 5 * SCALE))
+        elif kind == "parallel" and g.edges:
+            e = g.edges[rng.randrange(g.n_edges)]
+            u, v, weight = e.u, e.v, max(0, e.weight + rng.choice((-SCALE, 0, SCALE)))
+        elif kind == "duplicate" and out:
+            out.append(rng.choice(out))
+            continue
+        else:
+            weight = 0
+        out.append(Candidate(u, v, weight, rng.randint(1, 5) * SCALE, rng.randint(1, 5) * SCALE))
+    return out
+
+
+def check_outcome(check, g: Graph, candidates) -> tuple[type, str] | None:
+    try:
+        check(g, tuple(candidates))
+    except (CandidateInvariantError, DisconnectedGraphError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_candidate_check_matches_kruskal_per_candidate():
+    # the pieces of T minus its heavier edges refuse the same candidate, by
+    # the same error, as a Kruskal on the base graph plus each candidate
+    outcomes = {"accepted": 0, "first": 0, "later": 0, "disconnected": 0}
+    for seed in range(500):
+        rng = random.Random(seed)
+        n = 2 + seed % 29
+        g = gen_random(seed + 7000, n, n - 1 + rng.randrange(2 * n), rng.randint(0, 6), 5)
+        if seed % 25 == 0:  # isolate the last vertex
+            g = Graph(n, tuple(e for e in g.edges if n - 1 not in (e.u, e.v)))
+        # without shortcuts and zeros most instances pass the check
+        kinds = KINDS if seed % 3 else ("mirror", "between", "above", "parallel", "duplicate")
+        candidates = mixed_candidates(g, rng, rng.randint(1, 12), kinds)
+        expected = check_outcome(reference_candidate_check, g, candidates)
+        assert check_outcome(ProtectionInstance, g, candidates) == expected, seed
+        if expected is None:
+            outcomes["accepted"] += 1
+        elif expected[0] is DisconnectedGraphError:
+            outcomes["disconnected"] += 1
+        else:
+            outcomes["first" if expected[1] == "candidate 0 reduces the MST weight" else "later"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_candidate_check_work_count(monkeypatch):
+    # 4999 mirrors of a 5000-vertex path: one Kruskal, one candidate graph
+    n = 5000
+    g = Graph(n, tuple(Edge(i, i + 1, SCALE, SCALE) for i in range(n - 1)))
+    mirrors = tuple(Candidate(i, i + 1, SCALE, SCALE, SCALE) for i in range(n - 1))
+    calls = {"mst": 0, "graph": 0}
+    real_mst, real_init = mst_module.mst, Graph.__post_init__
+
+    def counted_mst(*args, **kwargs):
+        calls["mst"] += 1
+        return real_mst(*args, **kwargs)
+
+    def counted_init(self):
+        calls["graph"] += 1
+        real_init(self)
+
+    monkeypatch.setattr(mst_module, "mst", counted_mst)
+    monkeypatch.setattr(Graph, "__post_init__", counted_init)
+    ProtectionInstance(g, mirrors)
+    assert calls["mst"] == 1 and calls["graph"] <= 1, calls
+
+
+@pytest.mark.parametrize(
+    "candidate, message",
+    [
+        (Candidate(0, 3, SCALE, SCALE, SCALE), "endpoint out of range"),
+        (Candidate(-1, 1, SCALE, SCALE, SCALE), "endpoint out of range"),
+        (Candidate(1, 1, SCALE, SCALE, SCALE), "self-loop rejected"),
+        (Candidate(0, 1, -1, SCALE, SCALE), "negative weight"),
+        (Candidate(0, 1, SCALE, SCALE, 0), "non-positive cost"),
+    ],
+)
+def test_malformed_candidate_raises_value_error(t3, candidate, message):
+    # the candidate graph names the candidate by its index
+    mirror = Candidate(0, 1, SCALE, SCALE, SCALE)
+    with pytest.raises(ValueError, match=f"^edge 1: {message}$"):
+        ProtectionInstance(t3, (mirror, candidate))
 
 
 def test_protect_t3_two_candidates(t3):
