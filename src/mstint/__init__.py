@@ -5,7 +5,7 @@ from .budget import InfeasibleError, budget_approximate
 from .eps import NoFiniteCutError, eps_increase
 from .generators import gen_bad_example, gen_random
 from .graph import Candidate, Edge, Graph, ParseError, parse_instance_full, serialize_instance
-from .mst import DisconnectedGraphError, PartialCutSpec, mst, profit
+from .mst import DisconnectedGraphError, PartialCutSpec, mst
 from .oracle import (
     InfeasibleOracleError,
     OracleSizeError,
@@ -64,7 +64,6 @@ __all__ = [
     "oracle_profit",
     "parse_instance_full",
     "parse_quantity",
-    "profit",
     "profit_approximate",
     "protect",
     "serialize_instance",

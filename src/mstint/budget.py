@@ -5,8 +5,8 @@ cut is the canonical minimum u-v cut (u, v the ends of e) over the
 participating set P = {i alive : w_i < W}, and its claimed gain is
 W - w(e).  `best_ratio_cut` returns the best gain/cost cut whose cost fits
 in an allowance: the live budget greedy passes its budget guess, the profit
-greedy what is left of its hard budget.  Four devices cut the number of
-max-flows without changing any answer:
+greedy what is left of its hard budget.  Five devices cut the number and
+the length of max-flows without changing any answer:
 
 - `CutMemo` keeps the cuts of one top-level call per (threshold, P): one
   table for the input graph's P and one for the latest other P.  A greedy
@@ -19,14 +19,23 @@ max-flows without changing any answer:
   visits pairs in descending order of that bound and takes a cut only while
   the bound can still beat the best cut found so far; the order of `_better`
   is total, so the best cut is the same as that of a scan over every pair.
-- On a memo miss, a cut of cost v0 that the pair had over an earlier set P0
-  bounds its cut over P from below by v0 - c(P0∖P) (`CutTable`).  The scan
-  skips the pair, with no flow, when that bound is over the allowance or
-  strictly below the best ratio, so a pair that could tie is still cut.
+- A pair's cut is of use only at a cost of at most the allowance and, once
+  a best cut is found, at most floor(gain * best.cost / best.gain), or its
+  ratio is strictly below the best.  Its flow stops once past the allowance
+  and leaves an unfinished cut, whose value bounds the cut from below.  Only
+  finished flows give cuts, so every side is still the canonical one.  The
+  profit greedy spends from its allowance at least what it drops from any
+  P, so a value past the allowance keeps the pair out of every later scan;
+  a flow stopped at the best-ratio limit would be flowed again.
+- Each threshold keeps one record per pair: its latest cut over any set P0,
+  finished or not.  A cut of cost v0 over P0 bounds the pair's cut over P
+  from below by v0 - c(P0∖P) (`CutTable`).  The scan skips the pair, with
+  no flow, when that bound, or its table's own cut, is over its limit, so a
+  pair that could tie is still cut.
 - With the live set fixed, P at W lies inside P at any W' > W, so a pair's
   cut only grows with the threshold.  `profit.best_single_cut` visits each
   edge's thresholds in ascending order and stops at the first cut over the
-  budget.
+  budget; its flows stop past the budget.
 
 `_run_greedy` is the one ratio-greedy loop of the package; budget and profit
 differ only in when it stops.  `budget_approximate` is the paper's
@@ -41,7 +50,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .cuts import CutNetwork, CutResult, global_min_cut, min_st_cut
 from .graph import Graph
@@ -91,39 +99,52 @@ class CutTable:
     """Memoized minimum u-v cuts over one participating set P at one
     threshold, on one flow network over P built at the first miss.
 
-    `stale` holds (cuts, c(P0∖P)) for earlier tables over sets P0 of the
-    same graph.  A u-v cut C over P, less its edges outside P0, plus P0∖P
-    separates u from v over P0, so a stale cut of cost v0 gives
-    c(C) >= v0 - c(P0∖P), whether or not P lies inside P0.
+    A flow given a limit may stop past it and leave an unfinished cut: an
+    empty side, and the flow's value, at most the cut's cost, as its cost.
+    `records` holds the latest cut of each pair over any set P0 at this
+    threshold, with P0.  A u-v cut C over P, less its edges outside P0, plus
+    P0∖P separates u from v over P0, so a cut of cost v0 over P0, even an
+    unfinished one, gives c(C) >= v0 - c(P0∖P), whether or not P lies
+    inside P0.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        participating: frozenset[int],
-        stale: Sequence[tuple[dict[tuple[int, int], CutResult], int]] = (),
-    ):
+    def __init__(self, g: Graph, participating: frozenset[int], records: dict | None = None):
         self.g = g
         self.participating = participating
         self.cuts: dict[tuple[int, int], CutResult] = {}
-        self.stale = stale
+        self.records: dict[tuple[int, int], tuple[CutResult, frozenset[int]]] = (
+            {} if records is None else records
+        )
+        self._dropped: dict[frozenset[int], int | None] = {}  # P0 -> c(P0∖P)
         self._network: CutNetwork | None = None
 
-    def cut(self, u: int, v: int) -> CutResult:
+    def cut(self, u: int, v: int, limit: int | None = None) -> CutResult:
+        """The pair's cut; with `limit`, one that costs more may come back
+        unfinished."""
         result = self.cuts.get((u, v))
-        if result is None:
+        if result is None or not result.side and (limit is None or result.cost.units <= limit):
             if self._network is None:
                 self._network = CutNetwork(self.g, self.participating)
-            result = self.cuts[u, v] = min_st_cut(self._network, u, v)
+            result = self.cuts[u, v] = min_st_cut(self._network, u, v, limit=limit)
+            self.records[u, v] = (result, self.participating)
         return result
 
     def lower_bound(self, u: int, v: int) -> ExtendedValue:
-        """A lower bound on the u-v cut over P from the stale cuts, with no
-        flow; ZERO when no stale table has cut the pair."""
-        bound = 0
-        for cuts, dropped in self.stale:
-            old = cuts.get((u, v))
-            if old is not None:
+        """A lower bound on the u-v cut over P with no flow: the cost of the
+        table's finished cut of the pair, or else the better of its
+        unfinished cut and the pair's record; ZERO with neither."""
+        own = self.cuts.get((u, v))
+        if own is not None and own.side:
+            return own.cost
+        bound = 0 if own is None else own.cost.units
+        record = self.records.get((u, v))
+        if record is not None:
+            old, elsewhere = record
+            if elsewhere not in self._dropped:
+                costs = [self.g.edges[i].cost for i in elsewhere - self.participating]
+                self._dropped[elsewhere] = None if None in costs else sum(costs)
+            dropped = self._dropped[elsewhere]
+            if dropped is not None:
                 if not old.cost.is_finite:
                     return INFINITY
                 bound = max(bound, old.cost.units - dropped)
@@ -135,9 +156,9 @@ class CutMemo:
 
     Per threshold W it holds two `CutTable`s: one for the input graph's
     participating set {i : w_i < W} and one for the latest other set asked
-    for.  A new latest table takes its stale cuts from the base table and
-    from the table it replaces, of which it keeps only the cuts, so no chain
-    of older tables stays in memory.  Nothing outlives the memo.
+    for.  Both share one record per pair, so a replaced table leaves
+    behind only the cuts that are still some pair's latest.  Nothing
+    outlives the memo.
     """
 
     def __init__(self, g: Graph):
@@ -180,16 +201,9 @@ class CutMemo:
         if current == base.participating:
             return base
         latest = self._latest.get(threshold)
-        if latest is not None and latest.participating == current:
-            return latest
-        stale = []
-        for old in (base, latest):
-            if old is not None:
-                dropped = [self.g.edges[i].cost for i in old.participating - current]
-                if None not in dropped:
-                    stale.append((old.cuts, sum(dropped)))
-        table = self._latest[threshold] = CutTable(self.g, current, stale)
-        return table
+        if latest is None or latest.participating != current:
+            latest = self._latest[threshold] = CutTable(self.g, current, base.records)
+        return latest
 
 
 def best_ratio_cut(memo: CutMemo, alive: set[int], room: int) -> ScoredCut | None:
@@ -217,17 +231,13 @@ def best_ratio_cut(memo: CutMemo, alive: set[int], room: int) -> ScoredCut | Non
         table = tables.get(w_threshold)
         if table is None:
             table = tables[w_threshold] = memo.table(w_threshold, alive)
-        cut = table.cuts.get((e.u, e.v))
-        if cut is None:
-            # no flow for a pair that a stale cut shows to be over the room
-            # or strictly below the best ratio
-            bound = table.lower_bound(e.u, e.v)
-            if not bound.is_finite or bound.units > room:
-                continue
-            if best is not None and gain * best.cost < best.gain * max(e.cost, bound.units):
-                continue
-            cut = table.cut(e.u, e.v)
-        if not cut.cost.is_finite or cut.cost.units > room:
+        # of use only at a cost of at most `limit`; a flow stops past the room
+        limit = room if best is None else min(room, gain * best.cost // best.gain)
+        bound = table.lower_bound(e.u, e.v)
+        if not bound.is_finite or bound.units > limit:
+            continue
+        cut = table.cut(e.u, e.v, room)
+        if not cut.cost.is_finite or cut.cost.units > limit:
             continue
         cand = ScoredCut(
             gain, cut.cost.units, edge_idx, w_threshold, cut.edges, cut.side

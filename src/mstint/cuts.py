@@ -8,6 +8,9 @@ flow, which is the unique source-side-minimal minimum cut.  A `CutNetwork`
 is the flow network over the participating edges, built once; each
 `min_st_cut` on it runs one Dinic flow from the base capacities, and the
 flow's last breadth-first search, the one that misses t, labels that side.
+Given a limit, the flow stops at the augmentation that takes it past the
+limit, and the cut comes back unfinished: no side, and that flow value, a
+lower bound on the cut's cost, as its cost.
 A global minimum cut needs no flow: maximum-adjacency passes contract every
 edge that no cut cheaper than the best one found can cross (Nagamochi and
 Ibaraki 1992), and Padberg and Rinaldi's test 2 contracts between passes.
@@ -63,13 +66,16 @@ class CutNetwork:
         self.cap = self.base_cap[:]
         self.reached: list[int] = []
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self, s: int, t: int, *, limit: int | None = None) -> int:
         """The value of a maximum s-t flow from the base capacities.  `cap`
         keeps its residual capacities and `reached` the vertices that the
         last breadth-first search labelled, which is the residual-reachable
-        set of s."""
+        set of s.  With `limit`, the flow stops at the augmentation that
+        takes its value past the limit and returns that value, a lower
+        bound on the maximum, and leaves `reached` as it was."""
         head, to, cap = self.head, self.to, self.cap
         cap[:] = self.base_cap
+        stop = float("inf") if limit is None else limit
         n = self.n_vertices
         flow = 0
         while True:
@@ -107,6 +113,8 @@ class CutNetwork:
                         cap[a] -= pushed
                         cap[a ^ 1] += pushed
                     flow += pushed
+                    if flow > stop:
+                        return flow
                     # resume at the tail of the first saturated arc
                     del path[first:]
                     u = to[path[-1]] if path else s
@@ -143,11 +151,17 @@ def _cut_of_side(g: Graph, participating: Iterable[int], side: set[int]) -> CutR
     return CutResult(frozenset(side), frozenset(crossing), cost)
 
 
-def min_st_cut(net: CutNetwork, s: int, t: int) -> CutResult:
-    """Minimum-cost cut separating s from t over the network's edges."""
+def min_st_cut(net: CutNetwork, s: int, t: int, *, limit: int | None = None) -> CutResult:
+    """Minimum-cost cut separating s from t over the network's edges.
+
+    With `limit`, a cut that costs more may come back unfinished: its side
+    and edges are empty and its cost is the stopped flow's value, over the
+    limit and at most the cut's cost."""
     if s == t:
         raise ValueError("s and t must differ")
-    flow = net.max_flow(s, t)
+    flow = net.max_flow(s, t, limit=limit)
+    if limit is not None and flow > limit:
+        return CutResult(frozenset(), frozenset(), ExtendedValue(flow))
     result = _cut_of_side(net.g, net.participating, set(net.reached))
     # strong duality: the flow value must equal the cut cost
     if result.cost.is_finite:

@@ -34,7 +34,7 @@ def best_single_cut(
         for w_threshold in thresholds:
             if w_threshold > e.weight and (e.cost is None or e.cost > budget):
                 break  # e crosses every u-v cut at this threshold and above
-            cut = tables[w_threshold].cut(e.u, e.v)
+            cut = tables[w_threshold].cut(e.u, e.v, budget)
             if not cut.cost.is_finite or cut.cost.units > budget:
                 break
             if not cut.edges:

@@ -14,6 +14,7 @@ from collections import deque
 
 import pytest
 
+from mstint.cuts import CutNetwork
 from mstint.graph import MAX_VERTICES, Candidate, Edge, Graph, ParseError
 from mstint.mst import DisconnectedGraphError, mst
 from mstint.protection import CandidateInvariantError
@@ -56,6 +57,22 @@ def t3() -> Graph:
 def p2() -> Graph:
     # single edge, w=5, c=3
     return Graph(2, (Edge(0, 1, 5_000_000, 3_000_000),))
+
+
+@pytest.fixture
+def flow_counts(monkeypatch) -> dict[str, int]:
+    """Counts of the flows run while the test runs: a flow whose value is
+    over its limit stopped there, any other one completed."""
+    counts = {"completed": 0, "stopped": 0}
+    real = CutNetwork.max_flow
+
+    def counted(net, s, t, *, limit=None):
+        value = real(net, s, t, limit=limit)
+        counts["stopped" if limit is not None and value > limit else "completed"] += 1
+        return value
+
+    monkeypatch.setattr(CutNetwork, "max_flow", counted)
+    return counts
 
 
 def units(x: int | float) -> int:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -130,7 +131,9 @@ def test_min_cut_duality_mismatch_exits_1(capsys, monkeypatch, t3_file):
     # a max-flow one unit short of its residual cut breaks strong duality
     real = cuts.CutNetwork.max_flow
     monkeypatch.setattr(
-        cuts.CutNetwork, "max_flow", lambda net, s, t: real(net, s, t) - 1
+        cuts.CutNetwork,
+        "max_flow",
+        lambda net, s, t, *, limit=None: real(net, s, t, limit=limit) - 1,
     )
     code, _, err = run(capsys, ["budget", t3_file, "--delta", "2"])
     assert code == 1
@@ -142,7 +145,9 @@ def test_min_cut_duality_mismatch_exits_1(capsys, monkeypatch, t3_file):
         "from mstint import cuts\n"
         "from mstint.cli import main\n"
         "real = cuts.CutNetwork.max_flow\n"
-        "cuts.CutNetwork.max_flow = lambda net, s, t: real(net, s, t) - 1\n"
+        "cuts.CutNetwork.max_flow = (\n"
+        "    lambda net, s, t, *, limit=None: real(net, s, t, limit=limit) - 1\n"
+        ")\n"
         f"sys.exit(main(['budget', {t3_file!r}, '--delta', '2']))\n",
     )
     assert proc.returncode == 1, proc.stderr
@@ -712,6 +717,13 @@ def test_input_errors_share_one_base():
         assert issubclass(cls, mstint.InputError), cls
     assert issubclass(QuantityOverflowError, OverflowError)
     assert not issubclass(mstint.GuaranteeError, mstint.InputError)
+
+
+def test_exported_names_are_not_modules():
+    # a submodule import rebinds a package name of the same spelling, so
+    # an exported name that a submodule shares would export the module
+    exported = {name: getattr(mstint, name) for name in mstint.__all__}
+    assert [name for name, value in exported.items() if isinstance(value, types.ModuleType)] == []
 
 
 def test_internal_fault_exits_3(capsys, monkeypatch, t3_file):

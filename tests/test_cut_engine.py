@@ -25,7 +25,7 @@ from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
 from mstint.mst import TreePricer, partial_cut, profit
 from mstint.profit import best_single_cut, profit_approximate
-from mstint.quantities import ZERO
+from mstint.quantities import SCALE, ZERO, ExtendedValue
 from mstint.solution import GreedyRound, GreedyTrace, make_solution
 
 MAX_WEIGHTS = (0, 1, 3, 20, 1000)
@@ -191,10 +191,11 @@ def test_equal_bound_pair_can_still_win():
 
 
 def test_stale_bounds_never_exceed_fresh_cuts():
-    # a table's stale bound for a pair is at most the pair's fresh min cut
-    # over the table's P, an infinite stale cut stays infinite, and a base
-    # cut only grows with the threshold
-    infinite_bounds = two_sources = 0
+    # a table's bound for a pair, from a record over another set, is at
+    # most the pair's fresh min cut over the table's P, an infinite
+    # recorded cut stays infinite, and a base cut only grows with the
+    # threshold
+    infinite_bounds = other_sets = 0
     for seed in range(150):
         rng = random.Random(seed)
         n = rng.randint(4, 14)
@@ -219,8 +220,9 @@ def test_stale_bounds_never_exceed_fresh_cuts():
                 alive -= set(rng.sample(sorted(alive), rng.randint(1, max(1, len(alive) // 3))))
                 for w in memo.weights:
                     table = memo.table(w, alive)
-                    two_sources += len(table.stale) == 2
                     for u, v in pairs:
+                        record = table.records.get((u, v))
+                        other_sets += record is not None and record[1] != table.participating
                         fresh = min_st_cut(
                             CutNetwork(g, [i for i in alive if g.edges[i].weight < w]), u, v
                         )
@@ -229,7 +231,7 @@ def test_stale_bounds_never_exceed_fresh_cuts():
                         infinite_bounds += not bound.is_finite
                         if rng.random() < 0.5:
                             assert table.cut(u, v) == fresh, seed
-    assert infinite_bounds and two_sources
+    assert infinite_bounds and other_sets
 
 
 def test_networks_built_at_most_tables_created(monkeypatch):
@@ -245,9 +247,9 @@ def test_networks_built_at_most_tables_created(monkeypatch):
         counts["networks"] += 1
         real_net(*args)
 
-    def flow(*args):
+    def flow(*args, **kwargs):
         counts["flows"] += 1
-        return real_flow(*args)
+        return real_flow(*args, **kwargs)
 
     monkeypatch.setattr(CutTable, "__init__", table)
     monkeypatch.setattr(cuts.CutNetwork, "__init__", network)
@@ -256,3 +258,41 @@ def test_networks_built_at_most_tables_created(monkeypatch):
     # one unit below the global min cut, so the greedy runs
     profit_approximate(g, global_min_cut(g).cost.units - 1)
     assert 0 < counts["networks"] <= counts["tables"] < counts["flows"]
+
+
+def test_stopped_flows_change_no_answer(monkeypatch, flow_counts):
+    # flows that stop at their limit give the same solutions and greedy
+    # traces as flows that always run to the end, and complete fewer
+    cases = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(8, 30)
+        g = gen_random(seed, n, rng.randint(3 * n, 10 * n), rng.randint(3, 20), 10)
+        top = max(e.weight for e in g.edges)
+        cut = global_min_cut(g).cost.units // SCALE
+        cases.append((g, max(SCALE, top * rng.randint(1, 2) // 2), SCALE * rng.randint(1, cut - 1)))
+
+    def answers():
+        return [
+            (outcome(budget_approximate, g, delta), outcome(profit_approximate, g, budget))
+            for g, delta, budget in cases
+        ]
+
+    limited = answers()
+    completed, stopped = flow_counts["completed"], flow_counts["stopped"]
+    real = cuts.CutNetwork.max_flow
+    monkeypatch.setattr(
+        cuts.CutNetwork, "max_flow", lambda net, s, t, *, limit=None: real(net, s, t)
+    )
+    assert answers() == limited
+    assert flow_counts["stopped"] == stopped > 0
+    assert completed < flow_counts["completed"] - completed
+
+
+def test_dense_budget_completes_few_flows(flow_counts):
+    # 2,324 flows, every one completed, before flows stopped at the room
+    g = gen_random(1, 40, 400, 20, 10)
+    sol = budget_approximate(g, 20 * SCALE)
+    assert (sol.cost, sol.profit) == (20 * SCALE, ExtendedValue(20 * SCALE))
+    assert (len(sol.trace.rounds), sol.trace.budget_guess) == (9, 4 * SCALE)
+    assert flow_counts["completed"] < 2324 < flow_counts["completed"] + flow_counts["stopped"]

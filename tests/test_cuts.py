@@ -186,11 +186,11 @@ def test_global_min_cut_matches_stoer_wagner():
     assert disconnected >= 20 and infinite >= 20 and cycles >= 20
 
 
-def test_min_st_cut_matches_reference_flow():
-    # the flow value and the source side of every cut, against Dinic with
-    # full searches and a separate residual search for the side
+def reference_flow_cases():
+    """(seed, graph, participating, pairs): 200 seeded multigraphs with
+    infinite and parallel edges, each with three participating sets, three
+    random pairs per set and one pair of adjacent ends."""
     rng = random.Random(28)
-    adjacent = infinite = disconnected = 0
     for seed in range(200):
         n = 2 + seed % 59
         edges = []
@@ -205,21 +205,55 @@ def test_min_st_cut_matches_reference_flow():
         light = [i for i, e in enumerate(edges) if e.weight < 2]
         half = [i for i in everything if rng.random() < 0.5]
         for participating in (everything, light, half):
-            net = CutNetwork(g, participating)
             pairs = [tuple(rng.sample(range(n), 2)) for _ in range(3)]
             if participating:
                 e = edges[rng.choice(list(participating))]
                 pairs.append((e.u, e.v))  # s adjacent to t
-                adjacent += 1
-            for s, t in pairs:
-                flow, side = reference_min_st_cut(g, participating, s, t)
-                cut = min_st_cut(net, s, t)
-                assert net.max_flow(s, t) == flow, (seed, s, t)
-                assert cut.side == side, (seed, s, t)
-                if cut.cost.is_finite:
-                    assert cut.cost.units == flow, (seed, s, t)
-                else:
-                    assert flow >= net.big, (seed, s, t)
-                    infinite += 1
-                disconnected += not cut.edges
+            yield seed, g, participating, pairs
+
+
+def test_min_st_cut_matches_reference_flow():
+    # the flow value and the source side of every cut, against Dinic with
+    # full searches and a separate residual search for the side
+    adjacent = infinite = disconnected = 0
+    for seed, g, participating, pairs in reference_flow_cases():
+        net = CutNetwork(g, participating)
+        adjacent += len(pairs) == 4
+        for s, t in pairs:
+            flow, side = reference_min_st_cut(g, participating, s, t)
+            cut = min_st_cut(net, s, t)
+            assert net.max_flow(s, t) == flow, (seed, s, t)
+            assert cut.side == side, (seed, s, t)
+            if cut.cost.is_finite:
+                assert cut.cost.units == flow, (seed, s, t)
+            else:
+                assert flow >= net.big, (seed, s, t)
+                infinite += 1
+            disconnected += not cut.edges
     assert adjacent >= 500 and infinite >= 100 and disconnected >= 100
+
+
+def test_limited_flow_completes_exactly_or_bounds_the_cut():
+    # a flow either completes, with the reference's exact value and side,
+    # or stops at a value over its limit and never over the true cut
+    rng = random.Random(33)
+    stopped = completed = 0
+    for seed, g, participating, pairs in reference_flow_cases():
+        net = CutNetwork(g, participating)
+        for s, t in pairs:
+            flow, side = reference_min_st_cut(g, participating, s, t)
+            if flow >= net.big:  # infinite: a stop must still be a bound
+                limits = (0, net.big - 1, rng.randint(0, net.big))
+            else:
+                limits = (0, max(flow - 1, 0), flow, flow + 1, rng.randint(0, 2 * flow + 1))
+            for limit in limits:
+                value = net.max_flow(s, t, limit=limit)
+                cut = min_st_cut(net, s, t, limit=limit)
+                if value > limit:
+                    assert limit < cut.cost.units == value <= flow, (seed, s, t, limit)
+                    assert not cut.side and not cut.edges, (seed, s, t, limit)
+                    stopped += 1
+                else:
+                    assert value == flow and cut.side == side, (seed, s, t, limit)
+                    completed += 1
+    assert stopped >= 1000 and completed >= 1000

@@ -7,7 +7,9 @@ per-layer metrics.  This test loads the tracer read-only and fails instead.
 import importlib.util
 from pathlib import Path
 
-import mstint.cli  # noqa: F401  (imports every module a target lives in)
+import mstint.cli  # imports every module a target lives in
+from mstint.generators import gen_random
+from mstint.graph import serialize_instance
 
 # (module, function) of the targets that bind and time a solver layer
 LIVE = {
@@ -55,3 +57,23 @@ def test_live_tracing_targets_bind():
         for _, _, original, _ in tracer._bindings
     }
     assert sorted(LIVE - bound) == []
+
+
+def test_traced_greedy_ops_exit_0(tmp_path, capsys):
+    # the min-cut hook reads a fourth positional argument as an edge filter
+    # and the result's cost, so a traced budget or profit op fails unless
+    # every flow's limit is a keyword and every min_st_cut gives a cut
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_instance(gen_random(5, 12, 48, 20, 10)))
+    tracer = load_tracing().Tracer()
+    tracer.bind()
+    for argv in (["budget", str(path), "--delta", "10"], ["profit", str(path), "--budget", "4"]):
+        tracer.install()
+        try:
+            tracer.begin_op(argv[0])
+            code = mstint.cli.main(argv)
+            _, counts = tracer.end_op()
+        finally:
+            tracer.remove()
+        assert code == 0, capsys.readouterr().err
+        assert counts["cuts.min_st_cut.calls"] > 0, argv
