@@ -347,14 +347,3 @@ def budget_approximate(g: Graph, delta: int) -> InterdictionSolution:
 
     return _finish(pricer, _doubling(g, run))
 
-
-def reduce_budget_range(g: Graph, delta: int) -> tuple[int, int]:
-    """Cost range [b*, m*b*] that must contain the optimal budget."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    pricer = TreePricer(g)
-    for b in sorted({e.cost for e in g.edges if e.cost is not None}):
-        removed = {i for i, e in enumerate(g.edges) if e.cost is not None and e.cost <= b}
-        if pricer.price(removed) >= finite(delta):
-            return b, b * g.n_edges
-    raise InfeasibleError("target increase is unreachable at finite cost")

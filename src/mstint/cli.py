@@ -111,7 +111,7 @@ def _print_record(record: dict, as_json: bool) -> None:
 def _cmd_protect(args) -> int:
     g, candidates = _read_instance(args.instance)
     if not candidates:
-        raise InputError("instance has no protect section")
+        raise InputError("instance has no protect candidates")
     chosen, listing = protect(ProtectionInstance(g, candidates))
     record = {
         "chosen_candidates": sorted(chosen),

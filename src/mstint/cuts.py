@@ -36,19 +36,17 @@ class CutResult:
 
 
 class CutNetwork:
-    """Dinic max-flow over the participating edges of a graph, by default
-    all of them; built once and reset to its base capacities before each flow.
+    """Dinic max-flow over the participating edges of a graph; built once
+    and reset to its base capacities before each flow.
 
     Each participating edge, in ascending index order, is one residual arc
     pair 2k, 2k+1; both directions start with the edge's cost, or `big` for
     an infinite cost.
     """
 
-    def __init__(self, g: Graph, participating: Iterable[int] | None = None):
+    def __init__(self, g: Graph, participating: Iterable[int]):
         self.g = g
-        self.participating = (
-            list(range(g.n_edges)) if participating is None else sorted(participating)
-        )
+        self.participating = sorted(participating)
         self.n_vertices = n = g.n_vertices
         self.n_edges = len(self.participating)
         edges = [g.edges[i] for i in self.participating]

@@ -18,7 +18,9 @@ def gen_random(
     """
     if n > MAX_VERTICES:
         raise InputError("more than 10**6 vertices")
-    if n < 1 or m < n - 1:
+    if n < 1:
+        raise InputError("graph needs at least one vertex")
+    if m < n - 1:
         raise InputError("need m >= n - 1 for a connected graph")
     if max_weight < 0 or max_cost < 1:
         raise InputError("bad weight/cost ranges")

@@ -174,12 +174,6 @@ class TreePricer:
         return finite(self.tree.weight.units + added - lost_weight) - self.tree.weight
 
 
-def profit(g: Graph, removed: Collection[int]) -> ExtendedValue:
-    """MST(G \\ F) - MST(G); infinite iff F disconnects g.  A one-shot price:
-    a run that prices several sets of one graph keeps one `TreePricer`."""
-    return TreePricer(g).price(removed)
-
-
 def partial_cut(g: Graph, side: Iterable[int], threshold: int | None) -> PartialCutSpec:
     """Edges with exactly one endpoint in `side` and weight strictly < W.
 

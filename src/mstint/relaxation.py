@@ -32,7 +32,6 @@ class RelaxationCertificate:
     cuts: tuple[PartialCutSpec, ...]
     tree_prime_edges: tuple[int, ...]  # original indices, non-decreasing weight
     small_sides_cc: tuple[frozenset[int], ...]  # component-index sides
-    small_side_counts: tuple[int, ...]  # final k() per component
     matching: tuple[int, ...]  # cut i -> matched original edge in T & F
     cost_sum: int
     profit_lb_sum: int  # sum of w(e_i') - w(e_pi(i))
@@ -111,12 +110,11 @@ def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertifica
 
     # One union-find over the components, joined by the prime edges in
     # order: before cut i it holds the forest of prime edges j < i.  Each
-    # label keeps its member list and the largest count among its members;
-    # a join relabels the smaller list into the larger.
+    # label keeps its member list and the most small sides any member has
+    # been on; a join relabels the smaller list into the larger.
     label = list(range(t))
     members = [[c] for c in range(t)]
     top = [0] * t
-    counts = [0] * t
     sides_cc: list[frozenset[int]] = []
     cuts: list[PartialCutSpec] = []
     for i in range(t - 1):
@@ -127,8 +125,6 @@ def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertifica
             raise GuaranteeError(f"prime edge {prime_edges[i]} closes a cycle")
         small = left if top[left] <= top[right] else right
         side_cc = frozenset(members[small])
-        for c in side_cc:
-            counts[c] += 1
         top[small] += 1
         sides_cc.append(side_cc)
         side_vertices = frozenset().union(*(components[c] for c in side_cc))
@@ -167,7 +163,6 @@ def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertifica
         cuts=tuple(cuts),
         tree_prime_edges=tuple(prime_edges),
         small_sides_cc=tuple(sides_cc),
-        small_side_counts=tuple(counts),
         matching=matching,
         cost_sum=cost_sum,
         profit_lb_sum=profit_lb_sum,

@@ -16,7 +16,7 @@ import pytest
 
 from mstint.cuts import CutNetwork
 from mstint.graph import MAX_VERTICES, Candidate, Edge, Graph, ParseError
-from mstint.mst import DisconnectedGraphError, mst
+from mstint.mst import DisconnectedGraphError, TreePricer, mst
 from mstint.protection import CandidateInvariantError
 from mstint.quantities import (
     INFINITY,
@@ -73,6 +73,12 @@ def flow_counts(monkeypatch) -> dict[str, int]:
 
     monkeypatch.setattr(CutNetwork, "max_flow", counted)
     return counts
+
+
+def price(g: Graph, removed) -> ExtendedValue:
+    """MST(G minus F) - MST(G) for F = `removed`: one set priced by a
+    `TreePricer` of its own."""
+    return TreePricer(g).price(removed)
 
 
 def units(x: int | float) -> int:

@@ -11,13 +11,13 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import brute_min_st_cut_cost, connected_random_subset
+from conftest import brute_min_st_cut_cost, connected_random_subset, price
 from mstint.budget import budget_approximate
 from mstint.cuts import CutNetwork, min_st_cut
 from mstint.eps import eps_increase
 from mstint.generators import gen_bad_example, gen_random
 from mstint.graph import Graph
-from mstint.mst import mst, profit
+from mstint.mst import mst
 from mstint.oracle import (
     oracle_budget,
     oracle_eps,
@@ -72,7 +72,7 @@ def test_acceptance_1_eps_exactness():
         g = gen_random(seed, n, m, 5, 5)
         sol = eps_increase(g)
         opt = oracle_eps(g)
-        if sol.cost != opt.cost or not profit(g, sol.edges) > ZERO:
+        if sol.cost != opt.cost or not price(g, sol.edges) > ZERO:
             violations.append((seed, sol.cost, opt.cost))
     elapsed = time.monotonic() - start
     report(1, "eps-increase exactness", violations, f"(500 instances, {elapsed:.1f}s)")
@@ -88,7 +88,7 @@ def test_acceptance_2_budget_guarantee():
         rng = random.Random(seed + 10_000)
         # delta drawn from an achievable profit: a random connectivity
         # preserving subset, falling back to the smallest positive unit
-        achieved = profit(g, connected_random_subset(g, rng))
+        achieved = price(g, connected_random_subset(g, rng))
         delta = achieved.units if achieved.is_finite and achieved > ZERO else 1
         opt = oracle_budget(g, delta)
         lo, _ = log2_bounds(n)
@@ -152,10 +152,10 @@ def test_acceptance_5_supermodularity():
             g.n_vertices, tuple(g.edges[i] for i in range(g.n_edges) if i not in b)
         )
         e = rng.choice(rest)
-        if profit(g_minus_b, {rest.index(e)}) < profit(g, {e}):
+        if price(g_minus_b, {rest.index(e)}) < price(g, {e}):
             violations.append((case, "single edge", e))
         a = frozenset(rng.sample(rest, rng.randint(0, min(3, len(rest)))))
-        if profit(g_minus_b, {rest.index(i) for i in a}) < profit(g, a):
+        if price(g_minus_b, {rest.index(i) for i in a}) < price(g, a):
             violations.append((case, "edge set", sorted(a)))
     report(5, "super-modularity", violations, "(1000 cases)")
 
@@ -250,7 +250,7 @@ def test_acceptance_8_engine_cross_validation():
         n = 4 + seed % 7  # up to 10 vertices
         g = gen_random(seed + 7000, n, n + 4, 5, 5)
         t = 1 + seed % (n - 1)
-        cut = min_st_cut(CutNetwork(g), 0, t)
+        cut = min_st_cut(CutNetwork(g, range(g.n_edges)), 0, t)
         if cut.cost != brute_min_st_cut_cost(g, 0, t, range(g.n_edges)):
             violations.append((seed, "cut mismatch", n, t))
     report(8, "engine cross-validation", violations, "(1000 MSTs, 60 cuts)")

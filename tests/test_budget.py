@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import price
 from mstint.budget import (
     CutMemo,
     InfeasibleError,
@@ -11,11 +12,10 @@ from mstint.budget import (
     _run_greedy,
     best_ratio_cut,
     budget_approximate,
-    reduce_budget_range,
 )
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
-from mstint.mst import TreePricer, mst, profit
+from mstint.mst import TreePricer, mst
 from mstint.oracle import oracle_budget, prim_mst_weight
 from mstint.quantities import INFINITY, finite, log2_bounds
 
@@ -71,7 +71,7 @@ def test_exhausted_guess_returns_its_partial_set_and_doubles():
     assert len(first.rounds) == 8
     assert partial == frozenset().union(*(r.cut.edges for r in first.rounds))
     assert first.rounds[-1].cumulative_cost >= _relaxed_budget_cap(g.n_vertices, SCALE)
-    assert profit(g, partial) < finite(delta)
+    assert price(g, partial) < finite(delta)
     assert (second.budget_guess, second.outcome) == (2 * SCALE, "reached_delta")
     assert result == (edges, second)
 
@@ -121,30 +121,6 @@ def test_profit_recomputed_independently():
         # Prim, not the solver's own pricer
         assert sol.profit == prim_mst_weight(g, sol.edges) - prim_mst_weight(g)
         assert sol.cost == sum(g.edges[i].cost for i in sol.edges)
-
-
-def test_reduce_budget_range_t3(t3):
-    lower, upper = reduce_budget_range(t3, 2 * SCALE)
-    assert lower == SCALE
-    assert upper == 3 * SCALE
-
-
-def test_reduce_budget_range_uniform_cost():
-    g = gen_random(3, 6, 9, 5, 1)  # all costs 1
-    lower, upper = reduce_budget_range(g, SCALE)
-    assert lower == SCALE
-    assert upper == g.n_edges * SCALE
-
-
-def test_reduce_budget_range_huge_delta(t3):
-    lower, _ = reduce_budget_range(t3, 1000 * SCALE)
-    assert lower == SCALE  # disconnection reached at cost threshold 1
-
-
-def test_reduce_budget_range_infeasible():
-    g = Graph(2, (Edge(0, 1, SCALE, None),))
-    with pytest.raises(InfeasibleError):
-        reduce_budget_range(g, SCALE)
 
 
 def test_solution_cuts_cover_solution_edges():

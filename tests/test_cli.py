@@ -109,22 +109,22 @@ def test_guarantee_error_exits_1(capsys, monkeypatch, t3_file):
 
 
 def test_budget_large_cycle(capsys, tmp_path):
-    # a 2000-vertex cycle: the flow's augmenting paths run around it, which
-    # a recursive depth-first search could not follow, and the fallback's
-    # global min cut must not take one pass per vertex
-    n = 2000
-    path = tmp_path / "cycle.txt"
-    path.write_text(
-        f"{n} {n}\n"
-        + "".join(f"{i} {(i + 1) % n} {2 if i == n - 1 else 1} 1\n" for i in range(n))
-    )
-    argv = ["budget", str(path), "--delta", "1", "--json"]
-    code, out, _ = run(capsys, argv)
-    assert code == 0
-    assert json.loads(out)["cost"] == "1"
-    proc = _run_optimized("-m", "mstint.cli", *argv)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["cost"] == "1"
+    # 2000- and 5000-vertex cycles: the flow's augmenting paths run around
+    # them, which a recursive depth-first search could not follow, and the
+    # fallback's global min cut must not take one pass per vertex
+    for n in (2000, 5000):
+        path = tmp_path / f"cycle{n}.txt"
+        path.write_text(
+            f"{n} {n}\n"
+            + "".join(f"{i} {(i + 1) % n} {2 if i == n - 1 else 1} 1\n" for i in range(n))
+        )
+        argv = ["budget", str(path), "--delta", "1", "--json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0, n
+        assert json.loads(out)["cost"] == "1"
+        proc = _run_optimized("-m", "mstint.cli", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["cost"] == "1"
 
 
 def test_min_cut_duality_mismatch_exits_1(capsys, monkeypatch, t3_file):
@@ -654,6 +654,8 @@ def test_degenerate_input_messages(capsys, tmp_path):
     # two components and a protect candidate that would bridge them
     split = tmp_path / "split"
     split.write_text("4 2\n0 1 1 1\n2 3 1 1\nprotect 1\n1 2 5 1 1\n")
+    no_candidates = tmp_path / "protect0"
+    no_candidates.write_text(T3 + "protect 0\n")
     for argv, message in (
         (["certify", str(inf_triangle), "--edges", "0"], "edge 0 has infinite removal cost"),
         # two removed edges disconnect the triangle, which is reported first
@@ -664,6 +666,14 @@ def test_degenerate_input_messages(capsys, tmp_path):
         (["profit", str(split), "--budget", "1"], "graph is disconnected"),
         (["certify", str(split), "--edges", ""], "graph is disconnected"),
         (["protect", str(split)], "graph is disconnected"),
+        # an empty protect section, and none at all, leave nothing to build
+        (["protect", str(no_candidates)], "instance has no protect candidates"),
+        (["protect", str(single)], "instance has no protect candidates"),
+        # no vertex at all, reported before the edge count
+        (
+            ["gen", "random", "--seed", "1", "--n", "0", "--m", "0"],
+            "graph needs at least one vertex",
+        ),
     ):
         assert run(capsys, argv) == (2, "", f"error: {message}\n")
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+from conftest import price
 from mstint import cuts
 from mstint.budget import (
     CutMemo,
@@ -23,7 +24,7 @@ from mstint.budget import (
 from mstint.cuts import CutNetwork, global_min_cut, min_st_cut
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
-from mstint.mst import TreePricer, partial_cut, profit
+from mstint.mst import TreePricer, partial_cut
 from mstint.profit import best_single_cut, profit_approximate
 from mstint.quantities import SCALE, ZERO, ExtendedValue
 from mstint.solution import GreedyRound, GreedyTrace, make_solution
@@ -73,7 +74,7 @@ def reference_single_cut(g: Graph, budget: int):
             cut = min_st_cut(CutNetwork(g, light), e.u, e.v)
             if not cut.cost.is_finite or cut.cost.units > budget or not cut.edges:
                 continue
-            value = profit(g, cut.edges)
+            value = price(g, cut.edges)
             if value > best_profit:
                 best_profit, best_cut = value, partial_cut(g, cut.side, w)
     return best_cut, best_profit
@@ -94,7 +95,7 @@ def reference_greedy(g: Graph, budget: int):
                 partial_cut(g, best.side, best.threshold),
                 best.ratio,
                 spent,
-                profit(g, removed),
+                price(g, removed),
             )
         )
     return frozenset(removed), GreedyTrace(tuple(rounds), budget, "no_progress")
@@ -108,7 +109,7 @@ def reference_profit(g: Graph, budget: int):
         return make_solution(pricer, cut.edges)
     single_cut, single_profit = reference_single_cut(g, budget)
     removed, trace = reference_greedy(g, budget)
-    greedy_profit = profit(g, removed) if removed else ZERO
+    greedy_profit = price(g, removed) if removed else ZERO
     if single_profit >= greedy_profit:
         if single_cut is None:
             return make_solution(pricer, frozenset(), trace=trace)

@@ -23,7 +23,7 @@ def test_t3_weight_filtered_cut(t3):
 
 
 def test_t3_unfiltered_cut(t3):
-    cut = min_st_cut(CutNetwork(t3), 0, 1)
+    cut = min_st_cut(CutNetwork(t3, range(t3.n_edges)), 0, 1)
     assert cut.cost == finite(2_000_000)
     # side-canonical: one of the two brute-force minimum sides
     assert cut.side in brute_min_st_cut_sides(t3, 0, 1, range(3))
@@ -38,7 +38,7 @@ def test_t3_empty_filter_is_zero_cut(t3):
 
 def test_infinite_cost_edges_are_uncuttable():
     g = Graph(2, (Edge(0, 1, 0, None),))
-    assert min_st_cut(CutNetwork(g), 0, 1).cost == INFINITY
+    assert min_st_cut(CutNetwork(g, range(g.n_edges)), 0, 1).cost == INFINITY
 
 
 def test_global_min_cut_t3(t3):
@@ -62,7 +62,7 @@ def test_min_cut_matches_bruteforce_random():
     for seed in range(40):
         g = gen_random(seed, 6, 10, 5, 5)
         s, t = 0, 1 + seed % (g.n_vertices - 1)
-        cut = min_st_cut(CutNetwork(g), s, t)
+        cut = min_st_cut(CutNetwork(g, range(g.n_edges)), s, t)
         assert cut.cost == brute_min_st_cut_cost(g, s, t, range(g.n_edges))
 
 
@@ -75,7 +75,7 @@ def test_min_cut_matches_bruteforce_with_inf_edges():
             for e in g.edges
         )
         g = Graph(g.n_vertices, edges)
-        cut = min_st_cut(CutNetwork(g), 0, g.n_vertices - 1)
+        cut = min_st_cut(CutNetwork(g, range(g.n_edges)), 0, g.n_vertices - 1)
         assert cut.cost == brute_min_st_cut_cost(
             g, 0, g.n_vertices - 1, range(g.n_edges)
         )
@@ -83,7 +83,7 @@ def test_min_cut_matches_bruteforce_with_inf_edges():
 
 def test_s_equals_t_rejected(t3):
     with pytest.raises(ValueError):
-        min_st_cut(CutNetwork(t3), 1, 1)
+        min_st_cut(CutNetwork(t3, range(t3.n_edges)), 1, 1)
 
 
 def brute_global_min_cut_cost(g: Graph):

@@ -66,7 +66,7 @@ def flow_eps_cost(g: Graph):
     best = None
     for tree_edge in sorted(mst(g).edges):
         aux, _, s, t = contracted_around(g, tree_edge)
-        cut = min_st_cut(CutNetwork(aux), s, t)
+        cut = min_st_cut(CutNetwork(aux, range(aux.n_edges)), s, t)
         if cut.cost.is_finite and (best is None or cut.cost.units < best):
             best = cut.cost.units
     return best

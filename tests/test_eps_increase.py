@@ -2,11 +2,12 @@ import importlib
 
 import pytest
 
+from conftest import price
 from mstint import eps
 from mstint.eps import NoFiniteCutError, class_components, eps_increase
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
-from mstint.mst import DisconnectedGraphError, mst, profit
+from mstint.mst import DisconnectedGraphError, mst
 from mstint.oracle import oracle_eps, prim_mst_weight
 from mstint.quantities import INFINITY, ZERO, finite
 
@@ -58,7 +59,7 @@ def test_matches_oracle_on_random_instances():
         g = gen_random(seed, n, m, 5, 5)
         sol = eps_increase(g)
         assert sol.cost == oracle_eps(g).cost
-        assert profit(g, sol.edges) > ZERO
+        assert price(g, sol.edges) > ZERO
         # Prim, not the solver's own pricer
         assert sol.profit == prim_mst_weight(g, sol.edges) - prim_mst_weight(g)
 

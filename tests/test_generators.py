@@ -1,8 +1,8 @@
 import pytest
 
-from conftest import brute_components
+from conftest import brute_components, price
 from mstint.generators import gen_bad_example, gen_random
-from mstint.mst import mst, profit
+from mstint.mst import mst
 from mstint.oracle import oracle_profit
 from mstint.quantities import finite
 
@@ -59,7 +59,7 @@ def test_bad_example_v2v3_removal_golden():
     ]
     assert g.edges[v2v3].cost == 5 * SCALE  # B + 1: just over the budget
     assert mst(g, {v2v3}).weight == finite(201 * SCALE)  # 2W + 1
-    assert profit(g, {v2v3}) == finite(100 * SCALE)
+    assert price(g, {v2v3}) == finite(100 * SCALE)
 
 
 def test_bad_example_parameter_validation():

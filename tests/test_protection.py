@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import reference_candidate_check
+from conftest import price, reference_candidate_check
 from mstint.eps import eps_increase
 from mstint.generators import gen_random
 from mstint.graph import Candidate, Edge, Graph
-from mstint.mst import DisconnectedGraphError, PartialCutSpec, mst, partial_cut, profit
+from mstint.mst import DisconnectedGraphError, PartialCutSpec, mst, partial_cut
 from mstint.protection import (
     CandidateInvariantError,
     ProtectionInstance,
@@ -119,7 +119,7 @@ def test_listed_cuts_are_optimal_and_profitable():
         assert listing.cost_after > best
         for cut in listing.cuts:
             assert sum(g.edges[i].cost for i in cut.edges) == best
-            assert profit(g, cut.edges) > ZERO
+            assert price(g, cut.edges) > ZERO
 
 
 def test_covers_semantics(t3):
@@ -375,7 +375,7 @@ def test_protect_matches_all_candidates_built():
         for cut in listing.cuts:
             assert cut == partial_cut(g, cut.side, cut.threshold)
             assert sum(g.edges[i].cost for i in cut.edges) == before, seed
-            assert profit(g, cut.edges) > ZERO
+            assert price(g, cut.edges) > ZERO
             assert any(covers(inst.candidates[i], cut) for i in chosen), seed
     assert min(outcomes.values()) >= 40, outcomes
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import connected_random_subset, max_tree_complement
+from conftest import connected_random_subset, max_tree_complement, price
 from mstint import relaxation
 from mstint.cli import main
 from mstint.generators import gen_random
@@ -18,7 +18,6 @@ from mstint.mst import (
     UnionFind,
     mst,
     partial_cut,
-    profit,
 )
 from mstint.quantities import (
     INFINITY,
@@ -88,7 +87,7 @@ def test_t2_single_cut_is_trivially_laminar():
         g = gen_random(seed, 6, 10, 5, 5)
         tree = mst(g)
         removed = frozenset({min(tree.edges)})
-        if not profit(g, removed).is_finite:
+        if not price(g, removed).is_finite:
             continue
         cert = build_cut_sequence(g, removed)
         assert len(cert.cuts) == 1
@@ -270,7 +269,6 @@ def ref_build(g: Graph, removed: frozenset[int]) -> RelaxationCertificate:
         cuts=tuple(cuts),
         tree_prime_edges=tuple(prime_edges),
         small_sides_cc=tuple(sides_cc),
-        small_side_counts=tuple(counts),
         matching=matching,
         cost_sum=checked_sum(
             checked_sum(g.edges[i].cost for i in cut.edges) if cut.edges else 0

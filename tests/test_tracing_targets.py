@@ -30,7 +30,7 @@ LIVE = {
 
 # targets whose metrics read 0: the function is gone, or no solver calls it
 RETIRED = {
-    ("mst", "profit"): "the one-shot price; every solver keeps a TreePricer",
+    ("mst", "profit"): "deleted; every solver prices through one TreePricer",
     ("eps", "contracted_instance"): "the eps sweep cuts each class component directly",
     ("cuts", "enumerate_min_st_cuts"): "protect generates its cuts one at a time",
     ("budget", "budget_approximate_fast"): "deleted; budget --fast runs budget_approximate",
