@@ -5,15 +5,18 @@ cut is the canonical minimum u-v cut (u, v the ends of e) over the
 participating set P = {i alive : w_i < W}, and its claimed gain is
 W - w(e).  `best_ratio_cut` returns the best gain/cost cut whose cost fits
 in an allowance: the live budget greedy passes its budget guess, the profit
-greedy what is left of its hard budget.  Five devices cut the number and
+greedy what is left of its hard budget.  Four devices cut the number and
 the length of max-flows without changing any answer:
 
-- `CutMemo` keeps the cuts of one top-level call per (threshold, P): one
-  table for the input graph's P and one for the latest other P.  A greedy
-  round removes only edges lighter than its own threshold, so most
-  thresholds keep their P, and their cuts, from round to round and from one
-  budget guess to the next.  Each table builds one flow network over its P,
-  at its first miss, and every flow of the table runs on it.
+- `CutMemo` keeps, for one top-level call, one `CutTable` per threshold,
+  and each threshold keeps one record per pair: its latest cut, finished or
+  not, and the set P0 it was taken over.  A greedy round removes only edges
+  lighter than its own threshold, so most thresholds keep their P, and
+  their records, from round to round and from one budget guess to the next.
+  A record over another set P0, of cost v0, bounds the pair's cut over P
+  from below by v0 - c(P0∖P); the scan skips the pair, with no flow, when
+  that bound is over its limit, so a pair that could tie is still cut.
+  Each table builds one flow network over the set asked for last.
 - For W > w(e), e itself lies in P and joins u and v, so every u-v cut costs
   at least c(e) and the pair's ratio is at most (W - w(e)) / c(e).  The scan
   visits pairs in descending order of that bound and takes a cut only while
@@ -27,11 +30,6 @@ the length of max-flows without changing any answer:
   profit greedy spends from its allowance at least what it drops from any
   P, so a value past the allowance keeps the pair out of every later scan;
   a flow stopped at the best-ratio limit would be flowed again.
-- Each threshold keeps one record per pair: its latest cut over any set P0,
-  finished or not.  A cut of cost v0 over P0 bounds the pair's cut over P
-  from below by v0 - c(P0∖P) (`CutTable`).  The scan skips the pair, with
-  no flow, when that bound, or its table's own cut, is over its limit, so a
-  pair that could tie is still cut.
 - With the live set fixed, P at W lies inside P at any W' > W, so a pair's
   cut only grows with the threshold.  `profit.best_single_cut` visits each
   edge's thresholds in ascending order and stops at the first cut over the
@@ -56,6 +54,7 @@ from .graph import Graph
 from .mst import TreePricer, partial_cut
 from .quantities import (
     INFINITY,
+    ZERO,
     ExtendedValue,
     InputError,
     finite,
@@ -96,69 +95,73 @@ def _better(a: ScoredCut, b: ScoredCut | None) -> bool:
 
 
 class CutTable:
-    """Memoized minimum u-v cuts over one participating set P at one
-    threshold, on one flow network over P built at the first miss.
+    """Minimum u-v cuts at one threshold, over the participating set P
+    asked for last, on one flow network over P built at its first miss.
 
     A flow given a limit may stop past it and leave an unfinished cut: an
     empty side, and the flow's value, at most the cut's cost, as its cost.
-    `records` holds the latest cut of each pair over any set P0 at this
-    threshold, with P0.  A u-v cut C over P, less its edges outside P0, plus
-    P0∖P separates u from v over P0, so a cut of cost v0 over P0, even an
-    unfinished one, gives c(C) >= v0 - c(P0∖P), whether or not P lies
-    inside P0.
+    `records` holds the latest cut of each pair, finished or not, with the
+    set P0 it was taken over; a record over P itself is the pair's cut over
+    P.  A u-v cut C over P, less its edges outside P0, plus P0∖P separates
+    u from v over P0, so a cut of cost v0 over P0, even an unfinished one,
+    gives c(C) >= v0 - c(P0∖P), whether or not P lies inside P0.
     """
 
-    def __init__(self, g: Graph, participating: frozenset[int], records: dict | None = None):
+    def __init__(self, g: Graph):
         self.g = g
-        self.participating = participating
-        self.cuts: dict[tuple[int, int], CutResult] = {}
-        self.records: dict[tuple[int, int], tuple[CutResult, frozenset[int]]] = (
-            {} if records is None else records
-        )
+        self.participating: frozenset[int] | None = None
+        self.records: dict[tuple[int, int], tuple[CutResult, frozenset[int]]] = {}
         self._dropped: dict[frozenset[int], int | None] = {}  # P0 -> c(P0∖P)
         self._network: CutNetwork | None = None
 
+    def focus(self, participating: frozenset[int]) -> None:
+        """Take cuts over `participating` from here on.  An equal set
+        leaves the table as it is, so the records over P stay known by
+        `is`: `==` on frozensets costs O(|P|) even on one object."""
+        if participating != self.participating:
+            self.participating = participating
+            self._network = None
+            self._dropped = {}
+
     def cut(self, u: int, v: int, limit: int | None = None) -> CutResult:
-        """The pair's cut; with `limit`, one that costs more may come back
-        unfinished."""
-        result = self.cuts.get((u, v))
-        if result is None or not result.side and (limit is None or result.cost.units <= limit):
-            if self._network is None:
-                self._network = CutNetwork(self.g, self.participating)
-            result = self.cuts[u, v] = min_st_cut(self._network, u, v, limit=limit)
-            self.records[u, v] = (result, self.participating)
+        """The pair's cut over P; with `limit`, one that costs more may
+        come back unfinished."""
+        record = self.records.get((u, v))
+        if record is not None and record[1] is self.participating:
+            result = record[0]
+            if result.side or limit is not None and result.cost.units > limit:
+                return result
+        if self._network is None:
+            self._network = CutNetwork(self.g, self.participating)
+        result = min_st_cut(self._network, u, v, limit=limit)
+        self.records[u, v] = (result, self.participating)
         return result
 
     def lower_bound(self, u: int, v: int) -> ExtendedValue:
-        """A lower bound on the u-v cut over P with no flow: the cost of the
-        table's finished cut of the pair, or else the better of its
-        unfinished cut and the pair's record; ZERO with neither."""
-        own = self.cuts.get((u, v))
-        if own is not None and own.side:
-            return own.cost
-        bound = 0 if own is None else own.cost.units
+        """A lower bound on the u-v cut over P with no flow, from the
+        pair's record: its cost, over P itself, or v0 - c(P0∖P); ZERO with
+        no record or an infinite-cost P0∖P."""
         record = self.records.get((u, v))
-        if record is not None:
-            old, elsewhere = record
-            if elsewhere not in self._dropped:
-                costs = [self.g.edges[i].cost for i in elsewhere - self.participating]
-                self._dropped[elsewhere] = None if None in costs else sum(costs)
-            dropped = self._dropped[elsewhere]
-            if dropped is not None:
-                if not old.cost.is_finite:
-                    return INFINITY
-                bound = max(bound, old.cost.units - dropped)
-        return ExtendedValue(bound)
+        if record is None:
+            return ZERO
+        old, elsewhere = record
+        if elsewhere is self.participating:
+            return old.cost
+        if elsewhere not in self._dropped:
+            costs = [self.g.edges[i].cost for i in elsewhere - self.participating]
+            self._dropped[elsewhere] = None if None in costs else sum(costs)
+        dropped = self._dropped[elsewhere]
+        if dropped is None:
+            return ZERO
+        if not old.cost.is_finite:
+            return INFINITY
+        return ExtendedValue(max(0, old.cost.units - dropped))
 
 
 class CutMemo:
-    """Minimum u-v cuts of one graph, kept for one top-level call.
-
-    Per threshold W it holds two `CutTable`s: one for the input graph's
-    participating set {i : w_i < W} and one for the latest other set asked
-    for.  Both share one record per pair, so a replaced table leaves
-    behind only the cuts that are still some pair's latest.  Nothing
-    outlives the memo.
+    """Minimum u-v cuts of one graph, kept for one top-level call in one
+    `CutTable` per threshold W, which follows the participating set
+    {i alive : w_i < W} asked for last.  Nothing outlives the memo.
     """
 
     def __init__(self, g: Graph):
@@ -166,8 +169,7 @@ class CutMemo:
         self.weights = g.distinct_weights()
         self._by_weight = [i for i, _, _ in g.kruskal_order]
         self._sorted_weights = [g.edges[i].weight for i in self._by_weight]
-        self._base: dict[int, CutTable] = {}
-        self._latest: dict[int, CutTable] = {}
+        self._tables: dict[int, CutTable] = {}
 
     @cached_property
     def pairs(self) -> list[tuple[int, int]]:
@@ -189,21 +191,18 @@ class CutMemo:
         return [(i, w_threshold) for _, _, i, w_threshold in keyed]
 
     def table(self, threshold: int, alive: set[int] | None) -> CutTable:
-        """The table over {i in alive : w_i < threshold}; `alive` None
-        stands for every edge of the graph."""
+        """The threshold's table, focused on {i in alive : w_i < threshold};
+        `alive` None stands for every edge of the graph."""
         lighter = self._by_weight[: bisect_left(self._sorted_weights, threshold)]
-        base = self._base.get(threshold)
-        if base is None:
-            base = self._base[threshold] = CutTable(self.g, frozenset(lighter))
         if alive is None or len(alive) == self.g.n_edges:
-            return base
-        current = frozenset(i for i in lighter if i in alive)
-        if current == base.participating:
-            return base
-        latest = self._latest.get(threshold)
-        if latest is None or latest.participating != current:
-            latest = self._latest[threshold] = CutTable(self.g, current, base.records)
-        return latest
+            current = frozenset(lighter)
+        else:
+            current = frozenset(i for i in lighter if i in alive)
+        table = self._tables.get(threshold)
+        if table is None:
+            table = self._tables[threshold] = CutTable(self.g)
+        table.focus(current)
+        return table
 
 
 def best_ratio_cut(memo: CutMemo, alive: set[int], room: int) -> ScoredCut | None:
@@ -286,17 +285,15 @@ def _run_greedy(
     return frozenset(removed), GreedyTrace(tuple(rounds), budget, outcome)
 
 
-def global_cut_candidate(
-    g: Graph, below: int | None = None
-) -> tuple[int, frozenset[int]] | None:
-    """(cost, edges) of a finite, nonempty global min cut, or None; with
+def global_cut_candidate(g: Graph, below: int | None = None) -> frozenset[int] | None:
+    """The edges of a finite, nonempty global min cut, or None; with
     `below`, None also when the cut costs `below` or more."""
     if g.n_vertices < 2:
         return None
     cut = global_min_cut(g, below)
     if cut is None or not cut.cost.is_finite or not cut.edges:
         return None
-    return cut.cost.units, cut.edges
+    return cut.edges
 
 
 def _doubling(g: Graph, run) -> tuple[frozenset[int], GreedyTrace] | None:
@@ -330,7 +327,7 @@ def _finish(
             )
     if fallback is None:
         raise InfeasibleError("target increase is unreachable at finite cost")
-    return make_solution(pricer, fallback[1])
+    return make_solution(pricer, fallback)
 
 
 def budget_approximate(g: Graph, delta: int) -> InterdictionSolution:

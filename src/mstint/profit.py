@@ -61,7 +61,7 @@ def profit_approximate(g: Graph, budget: int) -> InterdictionSolution:
     pricer = TreePricer(g)  # raises on a disconnected graph
     complete = global_cut_candidate(g, budget + 1)
     if complete is not None:
-        return make_solution(pricer, complete[1])
+        return make_solution(pricer, complete)
     memo = CutMemo(g)
     single_cut, single_profit = best_single_cut(pricer, budget, memo)
     # the hard budget: each round's cut must fit in what is left of it

@@ -235,25 +235,37 @@ def test_stale_bounds_never_exceed_fresh_cuts():
     assert infinite_bounds and other_sets
 
 
-def test_networks_built_at_most_tables_created(monkeypatch, flow_counts):
-    counts = {"tables": 0, "networks": 0}
-    real_table, real_net = CutTable.__init__, cuts.CutNetwork.__init__
+def test_networks_built_at_most_set_changes(monkeypatch, flow_counts):
+    # one table per threshold, which builds a network only for a set it
+    # was not already over, and holds one network at a time
+    counts = {"changes": 0, "networks": 0}
+    tables: dict[tuple[CutMemo, int], CutTable] = {}
+    sets: dict[CutTable, frozenset[int]] = {}
+    real_table, real_net = CutMemo.table, cuts.CutNetwork.__init__
 
-    def table(*args):
-        counts["tables"] += 1
-        real_table(*args)
+    def table(memo, threshold, alive):
+        found = real_table(memo, threshold, alive)
+        assert tables.setdefault((memo, threshold), found) is found
+        if sets.get(found) is not found.participating:
+            sets[found] = found.participating
+            counts["changes"] += 1
+        return found
 
     def network(*args):
         counts["networks"] += 1
         real_net(*args)
 
-    monkeypatch.setattr(CutTable, "__init__", table)
+    monkeypatch.setattr(CutMemo, "table", table)
     monkeypatch.setattr(cuts.CutNetwork, "__init__", network)
     g = gen_random(3, 16, 48, 20, 10)
     # one unit below the global min cut, so the greedy runs
     profit_approximate(g, global_min_cut(g).cost.units - 1)
     flows = flow_counts["completed"] + flow_counts["stopped"]
-    assert 0 < counts["networks"] <= counts["tables"] < flows
+    assert 0 < counts["networks"] <= counts["changes"] < flows
+    for found in tables.values():
+        held = list(vars(found).values())
+        held += [x for value in held if isinstance(value, dict) for x in value.values()]
+        assert sum(isinstance(x, cuts.CutNetwork) for x in held) <= 1
 
 
 def test_stopped_flows_change_no_answer(monkeypatch, flow_counts):

@@ -2,7 +2,8 @@ import importlib
 
 import pytest
 
-from mstint.budget import CutMemo, global_cut_candidate
+from mstint.budget import CutMemo
+from mstint.cuts import global_min_cut
 from mstint.generators import gen_bad_example, gen_random
 from mstint.mst import TreePricer
 from mstint.oracle import oracle_profit, prim_mst_weight
@@ -103,7 +104,7 @@ def test_profit_mst_calls_are_constant(monkeypatch):
     rounds = set()
     for seed in range(5):
         g = gen_random(seed, 20, 60, 20, 10)
-        complete = global_cut_candidate(g)[0]
+        complete = global_min_cut(g).cost.units
         for budget in (complete // 4, complete // 2, complete - 1):
             calls = 0
             sol = profit_approximate(g, budget)
