@@ -2,20 +2,22 @@
 
 The engine turns (edge e, threshold W) pairs into partial cuts.  A pair's
 cut is the canonical minimum u-v cut (u, v the ends of e) over the
-participating set P = {i alive : w_i < W}, and its claimed gain is
-W - w(e).  `best_ratio_cut` returns the best gain/cost cut whose cost fits
-in an allowance: the live budget greedy passes its budget guess, the profit
-greedy what is left of its hard budget.  Four devices cut the number and
-the length of max-flows without changing any answer:
+participating set P = L∖R, where L holds the edges lighter than W and R the
+greedy's removed edges among them, and its claimed gain is W - w(e).
+`best_ratio_cut` returns the best gain/cost cut whose cost fits in an
+allowance: the live budget greedy passes its budget guess, the profit greedy
+what is left of its hard budget.  Four devices cut the number and the
+length of max-flows without changing any answer:
 
 - `CutMemo` keeps, for one top-level call, one `CutTable` per threshold,
   and each threshold keeps one record per pair: its latest cut, finished or
-  not, and the set P0 it was taken over.  A greedy round removes only edges
-  lighter than its own threshold, so most thresholds keep their P, and
-  their records, from round to round and from one budget guess to the next.
-  A record over another set P0, of cost v0, bounds the pair's cut over P
-  from below by v0 - c(P0∖P); the scan skips the pair, with no flow, when
-  that bound is over its limit, so a pair that could tie is still cut.
+  not, and the removed set R0 it was taken under.  A greedy round removes
+  only edges lighter than its own threshold, so most thresholds keep their
+  R, and their records, from round to round and from one budget guess to
+  the next.  A record under another set R0, of cost v0, bounds the pair's
+  cut over P from below by v0 - c(R∖R0), since the edges of the record's
+  set P0 missing from P are R∖R0; the scan skips the pair, with no flow,
+  when that bound is over its limit, so a pair that could tie is still cut.
   Each table builds one flow network over the set asked for last.
 - For W > w(e), e itself lies in P and joins u and v, so every u-v cut costs
   at least c(e) and the pair's ratio is at most (W - w(e)) / c(e).  The scan
@@ -30,7 +32,7 @@ the length of max-flows without changing any answer:
   profit greedy spends from its allowance at least what it drops from any
   P, so a value past the allowance keeps the pair out of every later scan;
   a flow stopped at the best-ratio limit would be flowed again.
-- With the live set fixed, P at W lies inside P at any W' > W, so a pair's
+- With no edge removed, P at W lies inside P at any W' > W, so a pair's
   cut only grows with the threshold.  `profit.best_single_cut` visits each
   edge's thresholds in ascending order and stops at the first cut over the
   budget; its flows stop past the budget.
@@ -48,6 +50,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterable
 
 from .cuts import CutNetwork, CutResult, global_min_cut, min_st_cut
 from .graph import Graph
@@ -95,73 +98,63 @@ def _better(a: ScoredCut, b: ScoredCut | None) -> bool:
 
 
 class CutTable:
-    """Minimum u-v cuts at one threshold, over the participating set P
-    asked for last, on one flow network over P built at its first miss.
+    """Minimum u-v cuts at one threshold, over P = L∖R, where L holds the
+    edges lighter than the threshold and R the removed ones among them,
+    on one flow network over P built at its first miss.
 
     A flow given a limit may stop past it and leave an unfinished cut: an
     empty side, and the flow's value, at most the cut's cost, as its cost.
     `records` holds the latest cut of each pair, finished or not, with the
-    set P0 it was taken over; a record over P itself is the pair's cut over
-    P.  A u-v cut C over P, less its edges outside P0, plus P0∖P separates
-    u from v over P0, so a cut of cost v0 over P0, even an unfinished one,
-    gives c(C) >= v0 - c(P0∖P), whether or not P lies inside P0.
+    removed set R0 it was taken under; a record under R itself is the
+    pair's cut over P.  A u-v cut C over P, less its edges outside P0, plus
+    P0∖P separates u from v over P0, so a cut of cost v0 over P0, even an
+    unfinished one, gives c(C) >= v0 - c(P0∖P), whether or not P lies
+    inside P0; and P0∖P = R∖R0.
     """
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, lighter: list[int]):
         self.g = g
-        self.participating: frozenset[int] | None = None
+        self.lighter = lighter
+        self.removed: frozenset[int] = frozenset()
         self.records: dict[tuple[int, int], tuple[CutResult, frozenset[int]]] = {}
-        self._dropped: dict[frozenset[int], int | None] = {}  # P0 -> c(P0∖P)
         self._network: CutNetwork | None = None
-
-    def focus(self, participating: frozenset[int]) -> None:
-        """Take cuts over `participating` from here on.  An equal set
-        leaves the table as it is, so the records over P stay known by
-        `is`: `==` on frozensets costs O(|P|) even on one object."""
-        if participating != self.participating:
-            self.participating = participating
-            self._network = None
-            self._dropped = {}
 
     def cut(self, u: int, v: int, limit: int | None = None) -> CutResult:
         """The pair's cut over P; with `limit`, one that costs more may
         come back unfinished."""
         record = self.records.get((u, v))
-        if record is not None and record[1] is self.participating:
+        if record is not None and record[1] == self.removed:
             result = record[0]
             if result.side or limit is not None and result.cost.units > limit:
                 return result
         if self._network is None:
-            self._network = CutNetwork(self.g, self.participating)
+            self._network = CutNetwork(self.g, [i for i in self.lighter if i not in self.removed])
         result = min_st_cut(self._network, u, v, limit=limit)
-        self.records[u, v] = (result, self.participating)
+        self.records[u, v] = (result, self.removed)
         return result
 
     def lower_bound(self, u: int, v: int) -> ExtendedValue:
         """A lower bound on the u-v cut over P with no flow, from the
-        pair's record: its cost, over P itself, or v0 - c(P0∖P); ZERO with
-        no record or an infinite-cost P0∖P."""
+        pair's record: its cost, under R itself, or v0 - c(R∖R0); ZERO with
+        no record or an infinite-cost R∖R0."""
         record = self.records.get((u, v))
         if record is None:
             return ZERO
-        old, elsewhere = record
-        if elsewhere is self.participating:
+        old, removed = record
+        if removed == self.removed:
             return old.cost
-        if elsewhere not in self._dropped:
-            costs = [self.g.edges[i].cost for i in elsewhere - self.participating]
-            self._dropped[elsewhere] = None if None in costs else sum(costs)
-        dropped = self._dropped[elsewhere]
-        if dropped is None:
+        costs = [self.g.edges[i].cost for i in self.removed - removed]
+        if None in costs:
             return ZERO
         if not old.cost.is_finite:
             return INFINITY
-        return ExtendedValue(max(0, old.cost.units - dropped))
+        return ExtendedValue(max(0, old.cost.units - sum(costs)))
 
 
 class CutMemo:
     """Minimum u-v cuts of one graph, kept for one top-level call in one
-    `CutTable` per threshold W, which follows the participating set
-    {i alive : w_i < W} asked for last.  Nothing outlives the memo.
+    `CutTable` per threshold W, which follows the removed edges lighter
+    than W asked for last.  Nothing outlives the memo.
     """
 
     def __init__(self, g: Graph):
@@ -190,30 +183,29 @@ class CutMemo:
         keyed.sort()
         return [(i, w_threshold) for _, _, i, w_threshold in keyed]
 
-    def table(self, threshold: int, alive: set[int] | None) -> CutTable:
-        """The threshold's table, focused on {i in alive : w_i < threshold};
-        `alive` None stands for every edge of the graph."""
-        lighter = self._by_weight[: bisect_left(self._sorted_weights, threshold)]
-        if alive is None or len(alive) == self.g.n_edges:
-            current = frozenset(lighter)
-        else:
-            current = frozenset(i for i in lighter if i in alive)
+    def table(self, threshold: int, removed: Iterable[int]) -> CutTable:
+        """The threshold's table, taking cuts over the edges lighter than
+        `threshold` that are not in `removed`."""
         table = self._tables.get(threshold)
         if table is None:
-            table = self._tables[threshold] = CutTable(self.g)
-        table.focus(current)
+            lighter = self._by_weight[: bisect_left(self._sorted_weights, threshold)]
+            table = self._tables[threshold] = CutTable(self.g, lighter)
+        current = frozenset(i for i in removed if self.g.edges[i].weight < threshold)
+        if current != table.removed:
+            table.removed = current
+            table._network = None
         return table
 
 
-def best_ratio_cut(memo: CutMemo, alive: set[int], room: int) -> ScoredCut | None:
-    """Best gain/cost cut of cost at most `room` over the live (edge, W)
-    pairs of the memo's graph, under the total order of `_better`."""
+def best_ratio_cut(memo: CutMemo, removed: set[int], room: int) -> ScoredCut | None:
+    """Best gain/cost cut of cost at most `room` over the (edge, W) pairs
+    of the memo's graph less `removed`, under the total order of `_better`."""
     g = memo.g
     best: ScoredCut | None = None
     tables: dict[int, CutTable] = {}
     for edge_idx, w_threshold in memo.pairs:
         e = g.edges[edge_idx]
-        if edge_idx not in alive or e.cost > room:
+        if edge_idx in removed or e.cost > room:
             continue  # every cut of the pair costs at least c(e)
         gain = w_threshold - e.weight
         if best is not None:
@@ -229,7 +221,7 @@ def best_ratio_cut(memo: CutMemo, alive: set[int], room: int) -> ScoredCut | Non
                 continue
         table = tables.get(w_threshold)
         if table is None:
-            table = tables[w_threshold] = memo.table(w_threshold, alive)
+            table = tables[w_threshold] = memo.table(w_threshold, removed)
         # of use only at a cost of at most `limit`; a flow stops past the room
         limit = room if best is None else min(room, gain * best.cost // best.gain)
         bound = table.lower_bound(e.u, e.v)
@@ -257,11 +249,10 @@ def _run_greedy(
     pricer: TreePricer, budget: int, delta: int | None, scan
 ) -> tuple[frozenset[int], GreedyTrace]:
     """The ratio greedy of budget and profit on the pricer's graph:
-    `scan(alive, spent)` gives each round's cut.  With a target `delta` the
+    `scan(removed, spent)` gives each round's cut.  With a target `delta` the
     run stops once the increase reaches it or the relaxed cap on `budget`
     is spent; with None it runs until no cut is left."""
     g = pricer.g
-    alive = set(range(g.n_edges))
     removed: set[int] = set()
     spent = 0
     rounds: list[GreedyRound] = []
@@ -269,8 +260,7 @@ def _run_greedy(
     # one vertex has no cut), so the cap only ever stops a budget guess
     cap = _relaxed_budget_cap(g.n_vertices, budget)
     outcome = "no_progress"
-    while (best := scan(alive, spent)) is not None:
-        alive -= best.cut_edges
+    while (best := scan(removed, spent)) is not None:
         removed |= best.cut_edges
         spent += best.cost
         current = pricer.price(removed)
@@ -339,7 +329,7 @@ def budget_approximate(g: Graph, delta: int) -> InterdictionSolution:
 
     def run(budget: int):
         return _run_greedy(
-            pricer, budget, delta, lambda alive, _spent: best_ratio_cut(memo, alive, budget)
+            pricer, budget, delta, lambda removed, _spent: best_ratio_cut(memo, removed, budget)
         )
 
     return _finish(pricer, _doubling(g, run))

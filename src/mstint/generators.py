@@ -18,6 +18,8 @@ def gen_random(
     """
     if n > MAX_VERTICES:
         raise InputError("more than 10**6 vertices")
+    if m > 10**7:
+        raise InputError("more than 10**7 edges")
     if n < 1:
         raise InputError("graph needs at least one vertex")
     if m < n - 1:

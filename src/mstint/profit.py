@@ -25,7 +25,7 @@ def best_single_cut(
     g = pricer.g
     # no edge is lighter than the lightest weight, so every cut there is empty
     thresholds = memo.weights[1:]
-    tables = {w_threshold: memo.table(w_threshold, None) for w_threshold in thresholds}
+    tables = {w_threshold: memo.table(w_threshold, ()) for w_threshold in thresholds}
     best_cut: PartialCutSpec | None = None
     best_profit = ZERO
     for e in g.edges:
@@ -66,7 +66,7 @@ def profit_approximate(g: Graph, budget: int) -> InterdictionSolution:
     single_cut, single_profit = best_single_cut(pricer, budget, memo)
     # the hard budget: each round's cut must fit in what is left of it
     greedy_edges, trace = _run_greedy(
-        pricer, budget, None, lambda alive, spent: best_ratio_cut(memo, alive, budget - spent)
+        pricer, budget, None, lambda removed, spent: best_ratio_cut(memo, removed, budget - spent)
     )
     greedy_profit = trace.rounds[-1].cumulative_profit if trace.rounds else ZERO
     if single_profit >= greedy_profit:

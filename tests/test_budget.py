@@ -28,7 +28,7 @@ mst_module = importlib.import_module("mstint.mst")
 def _greedy_at(g, budget, delta):
     pricer, memo = TreePricer(g), CutMemo(g)
     return _run_greedy(
-        pricer, budget, delta, lambda alive, _spent: best_ratio_cut(memo, alive, budget)
+        pricer, budget, delta, lambda removed, _spent: best_ratio_cut(memo, removed, budget)
     )
 
 
@@ -60,7 +60,7 @@ def test_exhausted_guess_returns_its_partial_set_and_doubles():
     def run(budget):
         runs.append(
             _run_greedy(
-                pricer, budget, delta, lambda alive, _spent: best_ratio_cut(memo, alive, budget)
+                pricer, budget, delta, lambda removed, _spent: best_ratio_cut(memo, removed, budget)
             )
         )
         return runs[-1]

@@ -398,6 +398,8 @@ def test_input_errors(capsys, tmp_path, t3_file):
     bad.write_text("not an instance\n")
     assert run(capsys, ["mst", str(bad)])[0] == 2
     assert run(capsys, ["budget", t3_file, "--delta", "-1"])[0] == 2
+    # rejected before any edge is drawn, not after allocating 10**11 of them
+    assert run(capsys, ["gen", "random", "--seed", "1", "--n", "5", "--m", "100000000000"])[0] == 2
     assert run(capsys, ["budget", t3_file, "--delta", "abc"])[0] == 2
     assert run(capsys, ["certify", t3_file, "--edges", "9"])[0] == 2
     # removal set that disconnects the graph is an input error for certify

@@ -60,7 +60,9 @@ def reference_budget(g: Graph, delta: int):
             pricer,
             budget,
             delta,
-            lambda alive, _spent: reference_scan(g, alive, weights, budget),
+            lambda removed, _spent: reference_scan(
+                g, set(range(g.n_edges)) - removed, weights, budget
+            ),
         )
 
     return _finish(pricer, _doubling(g, run))
@@ -166,7 +168,7 @@ def test_engine_matches_reference_scan():
             TreePricer(g),
             budget,
             None,
-            lambda alive, spent: best_ratio_cut(memo, alive, budget - spent),
+            lambda removed, spent: best_ratio_cut(memo, removed, budget - spent),
         )
         assert greedy == reference_greedy(g, budget), seed
 
@@ -186,7 +188,7 @@ def test_equal_bound_pair_can_still_win():
     )
     weights = g.distinct_weights()
     alive = set(range(g.n_edges))
-    best = best_ratio_cut(CutMemo(g), alive, 10)
+    best = best_ratio_cut(CutMemo(g), set(), 10)
     assert (best.edge, best.threshold, best.cost) == (2, 4, 1)
     assert best == reference_scan(g, alive, weights, 10)
 
@@ -211,7 +213,7 @@ def test_stale_bounds_never_exceed_fresh_cuts():
         memo = CutMemo(g)
         pairs = sorted({(e.u, e.v) for e in g.edges} | {(e.v, e.u) for e in g.edges})
         for u, v in pairs:
-            costs = [memo.table(w, None).cut(u, v).cost for w in memo.weights]
+            costs = [memo.table(w, ()).cut(u, v).cost for w in memo.weights]
             assert costs == sorted(costs), seed
         # two runs, as two budget guesses: the second starts again from
         # every edge, so its sets need not lie inside the first run's
@@ -220,10 +222,10 @@ def test_stale_bounds_never_exceed_fresh_cuts():
             for _ in range(3):
                 alive -= set(rng.sample(sorted(alive), rng.randint(1, max(1, len(alive) // 3))))
                 for w in memo.weights:
-                    table = memo.table(w, alive)
+                    table = memo.table(w, set(range(g.n_edges)) - alive)
                     for u, v in pairs:
                         record = table.records.get((u, v))
-                        other_sets += record is not None and record[1] != table.participating
+                        other_sets += record is not None and record[1] != table.removed
                         fresh = min_st_cut(
                             CutNetwork(g, [i for i in alive if g.edges[i].weight < w]), u, v
                         )
@@ -235,6 +237,31 @@ def test_stale_bounds_never_exceed_fresh_cuts():
     assert infinite_bounds and other_sets
 
 
+def test_equal_removed_set_keeps_its_records(flow_counts):
+    # a cut under R = {a}, then the table moved to {b}: back under a new
+    # set equal to {a}, the record is the pair's cut again, with no flow
+    g = Graph(
+        4,
+        (
+            Edge(0, 1, 0, 1),
+            Edge(1, 2, 0, 1),
+            Edge(0, 2, 0, 1),
+            Edge(2, 3, 0, 1),
+            Edge(0, 3, 5, 1),
+        ),
+    )
+    memo = CutMemo(g)
+    first = memo.table(5, {2}).cut(0, 1)
+    assert (first.edges, first.side) == (frozenset({0}), frozenset({0}))
+    # under R = {3} the record bounds the cut by v0 - c(R∖R0) = 1 - c({3})
+    assert memo.table(5, {3}).lower_bound(0, 1) == ZERO
+    table = memo.table(5, set([2]))
+    flows = dict(flow_counts)
+    assert table.cut(0, 1) is first
+    assert flow_counts == flows
+    assert table.lower_bound(0, 1) == first.cost
+
+
 def test_networks_built_at_most_set_changes(monkeypatch, flow_counts):
     # one table per threshold, which builds a network only for a set it
     # was not already over, and holds one network at a time
@@ -243,11 +270,11 @@ def test_networks_built_at_most_set_changes(monkeypatch, flow_counts):
     sets: dict[CutTable, frozenset[int]] = {}
     real_table, real_net = CutMemo.table, cuts.CutNetwork.__init__
 
-    def table(memo, threshold, alive):
-        found = real_table(memo, threshold, alive)
+    def table(memo, threshold, removed):
+        found = real_table(memo, threshold, removed)
         assert tables.setdefault((memo, threshold), found) is found
-        if sets.get(found) is not found.participating:
-            sets[found] = found.participating
+        if sets.get(found) != found.removed:
+            sets[found] = found.removed
             counts["changes"] += 1
         return found
 

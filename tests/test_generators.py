@@ -29,6 +29,8 @@ def test_gen_random_rejects_impossible():
         gen_random(1, 4, 2, 5, 5)
     with pytest.raises(ValueError):
         gen_random(1, 4, 5, 5, 0)
+    with pytest.raises(ValueError):
+        gen_random(1, 5, 10**11, 5, 5)
 
 
 def test_bad_example_budget_and_shape():
