@@ -9,8 +9,9 @@ component.  One ascending sweep over the distinct weights yields every
 component as the (edge, root, root) triples of its weight-w edges between
 classes of G_<w.  A component whose every edge costs at least the best cut
 so far is skipped; any other goes to `cuts.min_cut` with its roots
-labelled 0..k-1, and its cut side maps back through the classes' members
-to the partial cut C(S, W') on g.  The cheapest of these cuts is optimal.
+labelled 0..k-1.  The cheapest of these cuts is optimal, and only its side
+maps back, through the pieces of T minus its edges of weight >= w (one per
+class of G_<w), to the partial cut C(S, W') on g.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Iterator
 
 from .cuts import min_cut
 from .graph import Graph
-from .mst import PartialCutSpec, TreePricer, UnionFind, partial_cut
+from .mst import TreePricer, partial_cut
 from .quantities import GuaranteeError, InputError
 from .solution import InterdictionSolution, make_solution
 
@@ -28,46 +29,40 @@ class NoFiniteCutError(InputError):
     """Every candidate cut costs infinity; no affordable increase exists."""
 
 
-Component = tuple[list[tuple[int, int, int]], dict[int, list[int]], int | None]
+Component = tuple[list[tuple[int, int, int]], int | None]
 
 
 def class_components(g: Graph) -> Iterator[Component]:
     """Every auxiliary component, by ascending weight class, as its
-    (edge, root u, root v) triples, the member lists of the roots and W'.
+    (edge, root u, root v) triples and W'.
 
-    A root stands for one class of G_<w; its member list holds that class's
-    vertices.  The member lists are live: the sweep merges them once a
-    class's last component is taken, so read them before asking for the
-    next component.  Within a class, components come
-    in order of their lowest edge index.  One union-find grows class by
-    class over `g.kruskal_order`, so the whole sweep costs near-linear work
-    per class.
+    A root is a vertex of the class of G_<w that it stands for.  Within a
+    class, components come in order of their lowest edge index.  One
+    union-find grows class by class over `g.kruskal_order`, so the whole
+    sweep costs near-linear work per class.
     """
     order = [i for i, _, _ in g.kruskal_order]
     batches = [list(b) for _, b in groupby(order, key=lambda i: g.edges[i].weight)]
-    uf = UnionFind(g.n_vertices)
-    members = {v: [v] for v in range(g.n_vertices)}
+    parent = list(range(g.n_vertices))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
     for k, batch in enumerate(batches):
-        roots = [(i, uf.find(g.edges[i].u), uf.find(g.edges[i].v)) for i in batch]
+        roots = [(i, find(g.edges[i].u), find(g.edges[i].v)) for i in batch]
         crossing = [(i, ru, rv) for i, ru, rv in roots if ru != rv]
         if not crossing:
             continue
         for _, ru, rv in crossing:
-            uf.union(ru, rv)
+            parent[find(rv)] = find(ru)
         components: dict[int, list[tuple[int, int, int]]] = {}
         for triple in crossing:
-            components.setdefault(uf.find(triple[1]), []).append(triple)
+            components.setdefault(find(triple[1]), []).append(triple)
         threshold = g.edges[batches[k + 1][0]].weight if k + 1 < len(batches) else None
         for part in components.values():
-            yield part, members, threshold
-        for r in dict.fromkeys(r for _, ru, rv in crossing for r in (ru, rv)):
-            root = uf.find(r)
-            if r != root:
-                big, small = members[root], members.pop(r)
-                if len(big) < len(small):
-                    big, small = small, big
-                big.extend(small)
-                members[root] = big
+            yield part, threshold
 
 
 def eps_increase(g: Graph) -> InterdictionSolution:
@@ -82,8 +77,9 @@ def eps_increase(g: Graph) -> InterdictionSolution:
         raise InputError("need at least two vertices")
     pricer = TreePricer(g)  # raises on a disconnected graph
 
-    best: tuple[int, PartialCutSpec] | None = None
-    for triples, members, threshold in class_components(g):
+    # (value, class weight, the side's roots, W', the cut's edges)
+    best: tuple[int, int, list[int], int | None, frozenset[int]] | None = None
+    for triples, threshold in class_components(g):
         costs = [g.edges[i].cost for i, _, _ in triples]
         # every cut of a connected component holds one of its edges
         if best is not None and all(c is None or c >= best[0] for c in costs):
@@ -104,14 +100,19 @@ def eps_increase(g: Graph) -> InterdictionSolution:
         if None in cut_costs or sum(cut_costs) != value:
             raise GuaranteeError(f"class cut does not cost its contraction value {value}")
         roots = list(label)
-        spec = partial_cut(g, (v for a in side for v in members[roots[a]]), threshold)
-        if spec.edges != frozenset(triples[k][0] for k in crossing):
-            raise GuaranteeError("class cut does not realize its partial cut")
-        best = (value, spec)
+        weight = g.edges[triples[0][0]].weight
+        cut = frozenset(triples[k][0] for k in crossing)
+        best = (value, weight, [roots[a] for a in side], threshold, cut)
 
     if best is None:
         raise NoFiniteCutError("every candidate cut has infinite cost")
-    spec = best[1]
+    _, weight, side_roots, threshold, cut = best
+    # T minus its edges of weight >= w has one piece per class of G_<w
+    piece = pricer.pieces([i for i in pricer.tree.edges if g.edges[i].weight >= weight])
+    held = {piece[r] for r in side_roots}
+    spec = partial_cut(g, (v for v, p in enumerate(piece) if p in held), threshold)
+    if spec.edges != cut:
+        raise GuaranteeError("class cut does not realize its partial cut")
     if not spec.edges:
         raise GuaranteeError("the cheapest class cut must be finite and nonempty")
     return make_solution(pricer, spec.edges, cuts=(spec,))

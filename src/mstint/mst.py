@@ -30,26 +30,6 @@ class PartialCutSpec:
     edges: frozenset[int]
 
 
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def mst(g: Graph, exclude: Collection[int] = ()) -> SpanningForest:
     """Deterministic minimum spanning forest of g minus `exclude`.
 

@@ -127,12 +127,7 @@ class ExtendedValue:
     def _key(self) -> tuple[int, int]:
         return (1, 0) if self.units is None else (0, self.units)
 
-    def __lt__(self, other: "ExtendedValue") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "ExtendedValue") -> bool:
-        return self._key() <= other._key()
-
+    # a < b and a <= b reflect to b > a and b >= a
     def __gt__(self, other: "ExtendedValue") -> bool:
         return self._key() > other._key()
 

@@ -430,3 +430,26 @@ def reference_candidate_check(base: Graph, candidates) -> None:
         augmented = Graph(base.n_vertices, base.edges + (Edge(c.u, c.v, c.weight, c.removal_cost),))
         if mst(augmented).weight != base_weight:
             raise CandidateInvariantError(f"candidate {idx} reduces the MST weight")
+
+
+class UnionFind:
+    """A plain union-find with full path compression, for the reference
+    Kruskals and contractions of the tests."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True

@@ -7,7 +7,7 @@ from mstint import eps
 from mstint.eps import NoFiniteCutError, class_components, eps_increase
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
-from mstint.mst import DisconnectedGraphError, mst
+from mstint.mst import DisconnectedGraphError, TreePricer, mst
 from mstint.oracle import oracle_eps, prim_mst_weight
 from mstint.quantities import INFINITY, ZERO, finite
 
@@ -116,22 +116,29 @@ def test_one_global_min_cut_per_class_component(monkeypatch):
 
 
 def test_eps_mst_calls(monkeypatch):
-    calls = 0
-    real_mst = mst_module.mst
+    counts = {"mst": 0, "partial_cut": 0, "pieces": 0}
 
-    def counted_mst(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real_mst(*args, **kwargs)
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(mst_module, "mst", counted_mst)
+        return wrapper
+
+    monkeypatch.setattr(mst_module, "mst", counted("mst", mst_module.mst))
+    monkeypatch.setattr(eps, "partial_cut", counted("partial_cut", eps.partial_cut))
+    monkeypatch.setattr(TreePricer, "pieces", counted("pieces", TreePricer.pieces))
     for seed in range(5):
         for max_weight in (0, 3, 1000):
             g = gen_random(seed, 20, 60, max_weight, 10)
-            calls = 0
+            counts.update(dict.fromkeys(counts, 0))
             eps_increase(g)
             # one: the run's pricer checks connectivity and prices the answer
-            assert calls == 1, (seed, max_weight)
+            assert counts["mst"] == 1, (seed, max_weight)
+            # only the returned cut maps back to vertices, once, through the
+            # pricer's pieces
+            assert counts["partial_cut"] == 1, (seed, max_weight)
+            assert counts["pieces"] == 1, (seed, max_weight)
 
 
 def test_rejects_disconnected():
@@ -151,23 +158,44 @@ def test_no_finite_cut():
 def test_contracted_instance_t3(t3):
     tree = mst(t3)
     # e2 (w=3) joins a single class of G_<3, so only two classes have a
-    # component; at w=2, e0 contracts {0,1} and e2 is dropped.  The member
-    # lists are live, so each component's are copied as it is yielded
-    components = []
-    for triples, members, _ in class_components(t3):
-        roots = dict.fromkeys(r for _, ru, rv in triples for r in (ru, rv))
-        components.append(([i for i, _, _ in triples], [list(members[r]) for r in roots]))
-    first, second = components
-    assert first[0] == [0]
-    assert second[0] == [1]
-    assert sorted(map(sorted, second[1])) == [[0, 1], [2]]  # two roots
+    # component; at w=2, e0 contracts {0,1} and e2 is dropped
+    components = [triples for triples, _ in class_components(t3)]
+    assert [[i for i, _, _ in triples] for triples in components] == [[0], [1]]
+    ((_, ru, rv),) = components[1]
+    assert ru in (0, 1) and rv == 2  # two classes: {0, 1} and {2}
     assert 1 in tree.edges
 
 
 def test_next_distinct_weight(t3, p2):
     # each class cut is taken at W', the next distinct weight above its class
-    assert [w for _, _, w in class_components(t3)] == [2_000_000, 3_000_000]
-    assert [w for _, _, w in class_components(p2)] == [None]
+    assert [w for _, w in class_components(t3)] == [2_000_000, 3_000_000]
+    assert [w for _, w in class_components(p2)] == [None]
+
+
+def test_roots_name_pieces_of_the_tree():
+    """A root of class w stands for its class of G_<w, which is a piece of
+    T minus T's edges of weight >= w; each class-w edge between two such
+    pieces is in exactly one yielded triple."""
+    for seed in range(200):
+        n = 2 + seed % 13
+        g = gen_random(seed, n, n - 1 + seed % (2 * n), (0, 2, 5, 1000)[seed % 4], 5)
+        pricer = TreePricer(g)
+        listed: dict[int, list[int]] = {}
+        for triples, _ in class_components(g):
+            w = g.edges[triples[0][0]].weight
+            piece = pricer.pieces([i for i in pricer.tree.edges if g.edges[i].weight >= w])
+            for i, ru, rv in triples:
+                e = g.edges[i]
+                assert e.weight == w, seed
+                assert piece[ru] != piece[rv], seed
+                assert (piece[e.u], piece[e.v]) == (piece[ru], piece[rv]), seed
+                listed.setdefault(w, []).append(i)
+        for w in {e.weight for e in g.edges}:
+            piece = pricer.pieces([i for i in pricer.tree.edges if g.edges[i].weight >= w])
+            crossing = [
+                i for i, e in enumerate(g.edges) if e.weight == w and piece[e.u] != piece[e.v]
+            ]
+            assert sorted(listed.get(w, [])) == crossing, seed
 
 
 def test_deterministic():

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from conftest import brute_mst_weight, connected_random_subset, price
+from conftest import UnionFind, brute_mst_weight, connected_random_subset, price
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
 from mstint.mst import (
     DisconnectedGraphError,
     TreePricer,
-    UnionFind,
     mst,
     partial_cut,
 )

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import connected_random_subset, max_tree_complement, price
+from conftest import UnionFind, connected_random_subset, max_tree_complement, price
 from mstint import relaxation
 from mstint.cli import main
 from mstint.generators import gen_random
@@ -15,7 +15,6 @@ from mstint.mst import (
     PartialCutSpec,
     SpanningForest,
     TreePricer,
-    UnionFind,
     mst,
     partial_cut,
 )
@@ -499,20 +498,14 @@ def test_matching_matches_reference():
 
 
 def certify_run_counts(monkeypatch, tmp_path, g: Graph, removed) -> dict:
-    """Calls of `mst`, `UnionFind` objects and `kruskal_order` computations
-    in one `mstint certify` run."""
-    counts = {"mst": 0, "union_find": 0, "kruskal_order": 0}
+    """Calls of `mst` and `kruskal_order` computations in one `mstint
+    certify` run."""
+    counts = {"mst": 0, "kruskal_order": 0}
     real_mst = mst_module.mst
 
     def counted_mst(*args, **kwargs):
         counts["mst"] += 1
         return real_mst(*args, **kwargs)
-
-    real_union_find = UnionFind.__init__
-
-    def counted_union_find(uf, n):
-        counts["union_find"] += 1
-        real_union_find(uf, n)
 
     order = Graph.__dict__["kruskal_order"]
     real_order = order.func
@@ -526,7 +519,6 @@ def certify_run_counts(monkeypatch, tmp_path, g: Graph, removed) -> dict:
     with monkeypatch.context() as patch:
         patch.setattr(mst_module, "mst", counted_mst)
         patch.setattr(relaxation, "mst", counted_mst)
-        patch.setattr(UnionFind, "__init__", counted_union_find)
         patch.setattr(order, "func", counted_order)
         assert main(["certify", str(path), "--edges", ",".join(map(str, removed))]) == 0
     return counts
@@ -545,6 +537,4 @@ def test_certify_work_counts(monkeypatch, tmp_path):
         # prices every cut of check (f) from the pieces of T minus C, with
         # no Kruskal of its own
         assert counts["mst"] == 2
-        # the pricer's labelling and the cut sequence's relabelling need none
-        assert counts["union_find"] == 0
         assert counts["kruskal_order"] == 1
