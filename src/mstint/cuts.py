@@ -11,12 +11,12 @@ flow's last breadth-first search, the one that misses t, labels that side.
 Given a limit, the flow stops at the augmentation that takes it past the
 limit, and the cut comes back unfinished: no side, and that flow value, a
 lower bound on the cut's cost, as its cost.
-A global minimum cut needs no flow: maximum-adjacency passes contract every
-edge that no cut cheaper than the best one found can cross (Nagamochi and
-Ibaraki 1992), and Padberg and Rinaldi's test 2 contracts between passes.
-Given a bound, it looks only for a cut strictly below it.  `min_cut` is the
-one entry to the contraction: `global_min_cut` hands it a `Graph`'s edges,
-and the eps sweep the (root, root, cost) edges of one class component.
+A global minimum cut needs no flow: `min_cut` contracts every edge that no
+cut cheaper than the best one found can cross, by maximum-adjacency passes
+(Nagamochi and Ibaraki 1992) with Padberg and Rinaldi's test 2 between
+them; a pass that misses a vertex has found a cut of cost 0.  Given a bound,
+it looks only for a cut strictly below it; `global_min_cut` and the eps
+sweep's class components call it.
 """
 from __future__ import annotations
 
@@ -175,14 +175,22 @@ def min_st_cut(net: CutNetwork, s: int, t: int, *, limit: int | None = None) -> 
 def min_cut(
     n: int, ends: list[tuple[int, int, int | None]], below: int | None = None
 ) -> tuple[int | None, set[int]] | None:
-    """Value and vertex-0 side of a minimum cut of n vertices joined by
+    """Value and vertex-0 side of a minimum cut of n >= 2 vertices joined by
     (u, v, cost) edges, cost None meaning infinite; the value is None when
-    every cut crosses an infinite-cost edge.
+    every cut crosses an infinite-cost edge.  With `below` set, the cut is
+    returned only when it costs strictly less than `below` units; otherwise
+    the result is None.
 
-    With `below` set, the cut is returned only when it costs strictly less
-    than `below` units; otherwise the result is None.  On a disconnected
-    graph the component of vertex 0 is the zero-cost side.
+    The graph is contracted while it is ordered (Nagamochi and Ibaraki
+    1992).  λ̂ is the cheapest cut offered so far, or the bound; every vertex
+    degree, trivial or merged, is offered as a cut.  An edge is contracted
+    only when no cut through it can be cheaper than both λ̂ and the cuts that
+    do not separate its ends, so the cheapest cut below the bound survives
+    as an offered degree.  A maximum-adjacency pass that does not reach
+    every class has found a side that no edge leaves, a cut of cost 0.
     """
+    if n < 2:
+        raise ValueError("a cut needs at least two vertices")
     # costs are positive, so a cut of `big` or more crosses an infinite edge
     big = sum(cost for _, _, cost in ends if cost is not None) + 1
     adj: list[dict[int, int]] = [{} for _ in range(n)]
@@ -190,58 +198,9 @@ def min_cut(
         capacity = big if cost is None else cost
         adj[u][v] = adj[u].get(v, 0) + capacity
         adj[v][u] = adj[v].get(u, 0) + capacity
-    # the contraction needs a connected graph: it would loop on any other
-    seen = {0}
-    stack = [0]
-    while stack:
-        for v in adj[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) < n:
-        return (0, seen) if below is None or below > 0 else None
     # no cut costs more than big * m, and one of `big` or more is never
     # below a finite bound
-    found = _contract_min_cut(adj, big * len(ends) + 1 if below is None else min(below, big))
-    if found is None:
-        return None
-    value, members = found
-    side = set(members)
-    if 0 not in side:
-        side = set(range(n)) - side
-    return (None if value >= big else value), side
-
-
-def global_min_cut(g: Graph, below: int | None = None) -> CutResult | None:
-    """Minimum-cost complete cut of g by `min_cut`, with its side (which
-    contains vertex 0) recomputed on g and checked to cost the cut's value."""
-    if g.n_vertices < 2:
-        raise ValueError("global min cut needs at least two vertices")
-    found = min_cut(g.n_vertices, [(e.u, e.v, e.cost) for e in g.edges], below)
-    if found is None:
-        return None
-    value, side = found
-    result = _cut_of_side(g, range(g.n_edges), side)
-    if result.cost != (INFINITY if value is None else ExtendedValue(value)):
-        raise GuaranteeError(f"cut cost {result.cost} differs from its contraction value")
-    return result
-
-
-def _contract_min_cut(
-    adj: list[dict[int, int]], bound: int
-) -> tuple[int, list[int]] | None:
-    """Value and one side of the cheapest cut of a connected capacity graph
-    that costs less than `bound`, or None when every cut costs `bound` or
-    more.  `adj` is consumed.
-
-    The graph is contracted while it is ordered (Nagamochi and Ibaraki
-    1992).  λ̂ is the cheapest cut offered so far, or `bound`; every vertex
-    degree, trivial or merged, is offered as a cut.  An edge is contracted
-    only when no cut through it can be cheaper than both λ̂ and the cuts that
-    do not separate its ends, so the cheapest cut below `bound` survives as
-    an offered degree.
-    """
-    n = len(adj)
+    bound = big * len(ends) + 1 if below is None else min(below, big)
     parent = list(range(n))  # a contracted vertex -> the vertex it joined
     members = [[v] for v in range(n)]
     deg = [sum(a.values()) for a in adj]
@@ -308,13 +267,13 @@ def _contract_min_cut(
         key: dict[int, int] = {}
         heap = [(0, alive[0])]
         marked: list[tuple[int, int]] = []
-        prev = last = alive[0]
+        scanned: list[int] = []
         while heap:
             _, v = heappop(heap)
             if added[v] == passes:
                 continue
             added[v] = passes
-            prev, last = last, v
+            scanned.append(v)
             for x, capacity in adj[v].items():
                 if added[x] != passes:
                     k = key.get(x, 0) + capacity
@@ -322,7 +281,15 @@ def _contract_min_cut(
                     if k >= lam:
                         marked.append((v, x))
                     heappush(heap, (-k, x))
+        if len(scanned) < len(alive):
+            # no edge leaves the scanned classes: their side costs 0
+            if bound <= 0:
+                return None
+            side = [u for v in scanned for u in members[v]]
+            lam, best = 0, (side, len(side))
+            break
         passes += 1
+        prev, last = scanned[-2:]
         offer(last)
         marked.append((prev, last))
         for v, x in marked:
@@ -332,5 +299,23 @@ def _contract_min_cut(
         alive = [v for v in alive if parent[v] == v]
     if best is None:
         return None
-    side, size = best
-    return lam, side[:size]
+    listed, size = best
+    side = set(listed[:size])
+    if 0 not in side:
+        side = set(range(n)) - side
+    return (None if lam >= big else lam), side
+
+
+def global_min_cut(g: Graph, below: int | None = None) -> CutResult | None:
+    """Minimum-cost complete cut of g by `min_cut`, with its side (which
+    contains vertex 0) recomputed on g and checked to cost the cut's value."""
+    if g.n_vertices < 2:
+        raise ValueError("global min cut needs at least two vertices")
+    found = min_cut(g.n_vertices, [(e.u, e.v, e.cost) for e in g.edges], below)
+    if found is None:
+        return None
+    value, side = found
+    result = _cut_of_side(g, range(g.n_edges), side)
+    if result.cost != (INFINITY if value is None else ExtendedValue(value)):
+        raise GuaranteeError(f"cut cost {result.cost} differs from its contraction value")
+    return result

@@ -84,8 +84,7 @@ def eps_increase(g: Graph) -> InterdictionSolution:
         # every cut of a connected component holds one of its edges
         if best is not None and all(c is None or c >= best[0] for c in costs):
             continue
-        # label the roots 0..k-1 in order of appearance; the component is
-        # connected, since its triples joined its roots in the union-find
+        # label the roots 0..k-1 in order of appearance
         label: dict[int, int] = {}
         ends = [
             (label.setdefault(ru, len(label)), label.setdefault(rv, len(label)), c)

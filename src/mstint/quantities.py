@@ -41,17 +41,6 @@ def check_quantity(units: int) -> int:
     return units
 
 
-def checked_add(a: int, b: int) -> int:
-    return check_quantity(a + b)
-
-
-def checked_sum(values) -> int:
-    total = 0
-    for v in values:
-        total = checked_add(total, v)
-    return total
-
-
 def parse_digits(token: str) -> int:
     """A nonnegative integer in ASCII digits 0-9, else ValueError; int()
     alone also reads '٣' as 3, '1_0' as 10 and '+0' as 0."""
@@ -115,7 +104,7 @@ class ExtendedValue:
     def __add__(self, other: "ExtendedValue") -> "ExtendedValue":
         if self.units is None or other.units is None:
             return INFINITY
-        return ExtendedValue(checked_add(self.units, other.units))
+        return ExtendedValue(check_quantity(self.units + other.units))
 
     def __sub__(self, other: "ExtendedValue") -> "ExtendedValue":
         if other.units is None:

@@ -22,7 +22,6 @@ from .quantities import (
     GuaranteeError,
     InputError,
     check_quantity,
-    checked_sum,
     log2_bounds,
 )
 
@@ -167,13 +166,16 @@ def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertifica
         cost_sum=cost_sum,
         profit_lb_sum=profit_lb_sum,
         profit_value=after.weight - tree.weight,
-        solution_cost=checked_sum(g.edges[i].cost for i in removed),
+        solution_cost=check_quantity(sum(g.edges[i].cost for i in removed)),
         pricer=pricer,
     )
 
 
 def certify(g: Graph, removed: frozenset[int], cert: RelaxationCertificate) -> dict:
-    """Check every guarantee of the cut sequence; returns a named report."""
+    """Check every guarantee of the cut sequence; returns a named report.
+    Raises ValueError when the certificate was built on another graph."""
+    if cert.pricer.g is not g and cert.pricer.g != g:
+        raise ValueError("the certificate was built on another graph")
     t = len(cert.small_sides_cc) + 1
     checks: dict[str, bool] = {}
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .mst import PartialCutSpec, TreePricer
-from .quantities import ExtendedValue, checked_sum, format_quantity
+from .quantities import ExtendedValue, check_quantity, format_quantity
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,8 @@ def make_solution(
     for i in edge_set:
         if g.edges[i].cost is None:
             raise ValueError(f"edge {i} has infinite removal cost")
-    cost = checked_sum(g.edges[i].cost for i in edge_set)
+    # costs are positive, so a total in range bounds every partial sum
+    cost = check_quantity(sum(g.edges[i].cost for i in edge_set))
     return InterdictionSolution(edge_set, cost, pricer.price(edge_set), cuts, trace)
 
 

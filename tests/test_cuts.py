@@ -9,7 +9,7 @@ from conftest import (
     reference_min_st_cut,
     stoer_wagner_cost,
 )
-from mstint.cuts import CutNetwork, global_min_cut, min_st_cut
+from mstint.cuts import CutNetwork, global_min_cut, min_cut, min_st_cut
 from mstint.generators import gen_random
 from mstint.graph import Edge, Graph
 from mstint.quantities import INFINITY, ZERO, finite
@@ -84,6 +84,14 @@ def test_min_cut_matches_bruteforce_with_inf_edges():
 def test_s_equals_t_rejected(t3):
     with pytest.raises(ValueError):
         min_st_cut(CutNetwork(t3, range(t3.n_edges)), 1, 1)
+
+
+def test_min_cut_needs_two_vertices():
+    # one vertex has no cut: not even the empty side of cost 0
+    for n in (0, 1):
+        with pytest.raises(ValueError):
+            min_cut(n, [])
+    assert min_cut(2, []) == (0, {0})
 
 
 def brute_global_min_cut_cost(g: Graph):

@@ -22,7 +22,7 @@ from mstint.quantities import (
     INFINITY,
     ZERO,
     QuantityOverflowError,
-    checked_sum,
+    check_quantity,
     finite,
     log2_bounds,
 )
@@ -79,6 +79,18 @@ def test_t3_certificate_hand_values(t3):
     assert cert.profit_value == finite(2_000_000)
     report = certify(t3, removed, cert)
     assert report["ok"], report
+
+
+def test_certify_rejects_another_graphs_certificate(t3):
+    g = gen_random(3, 12, 20, 5, 5)
+    removed = frozenset({min(mst(g).edges)})
+    cert = build_cut_sequence(g, removed)
+    assert certify(g, removed, cert)["ok"]
+    assert certify(Graph(g.n_vertices, g.edges), removed, cert)["ok"]  # an equal copy
+    other = Graph(2, (Edge(0, 1, 1_000_000, 1_000_000),))
+    for h in (other, t3):
+        with pytest.raises(ValueError, match="another graph"):
+            certify(h, removed, cert)
 
 
 def test_t2_single_cut_is_trivially_laminar():
@@ -151,7 +163,7 @@ def ref_mst(g: Graph, exclude=()) -> SpanningForest:
                 break
     if len(chosen) < g.n_vertices - 1:
         return SpanningForest(frozenset(chosen), INFINITY)
-    weight = finite(checked_sum(g.edges[i].weight for i in chosen))
+    weight = finite(check_quantity(sum(g.edges[i].weight for i in chosen)))
     return SpanningForest(frozenset(chosen), weight)
 
 
@@ -269,16 +281,13 @@ def ref_build(g: Graph, removed: frozenset[int]) -> RelaxationCertificate:
         tree_prime_edges=tuple(prime_edges),
         small_sides_cc=tuple(sides_cc),
         matching=matching,
-        cost_sum=checked_sum(
-            checked_sum(g.edges[i].cost for i in cut.edges) if cut.edges else 0
-            for cut in cuts
-        ),
+        cost_sum=check_quantity(sum(g.edges[i].cost for cut in cuts for i in cut.edges)),
         profit_lb_sum=sum(
             g.edges[prime_edges[i]].weight - g.edges[matching[i]].weight
             for i in range(t - 1)
         ),
         profit_value=ref_profit(g, removed),
-        solution_cost=checked_sum(g.edges[i].cost for i in removed),
+        solution_cost=check_quantity(sum(g.edges[i].cost for i in removed)),
         pricer=TreePricer(g),
     )
 
