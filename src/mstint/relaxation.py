@@ -6,7 +6,8 @@ of the connected-components graph, and verifies the cost, laminarity,
 matching, and profit bounds that make the greedy analysis work.  One
 `mst.TreePricer` roots T = MST(G) for the whole run: it gives T, labels the
 components of T minus F, and, carried by the certificate, prices the cuts
-of the profit bound.
+of the profit bound, largest cut first and only until their prices cover
+the solution's profit.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from fractions import Fraction
 from .graph import Graph
 from .mst import DisconnectedGraphError, PartialCutSpec, TreePricer, mst, partial_cut
 from .quantities import (
-    ZERO,
     ExtendedValue,
     GuaranteeError,
     InputError,
@@ -224,9 +224,24 @@ def certify(g: Graph, removed: frozenset[int], cert: RelaxationCertificate) -> d
         checks["matching_profit_identity"] = False
 
     # (f) total cut profit, priced against the run's one rooted T, covers
-    # the solution profit
-    total = sum((cert.pricer.price(cut.edges) for cut in cert.cuts), ZERO)
-    checks["profit_cover"] = total >= cert.profit_value
+    # the solution profit.  Every price is >= 0, as MST(G minus C) >= MST(G),
+    # so the total covers p(F) once a prefix does: the cuts are priced
+    # largest first, ties to the later cut (its threshold is heavier), and
+    # each finite price comes off an exact integer remainder until one meets
+    # it or a price is infinite.  An infinite p(F) is covered only by an
+    # infinite price.
+    left = cert.profit_value.units
+    covered = left is not None and left <= 0
+    for cut in sorted(cert.cuts[::-1], key=lambda cut: len(cut.edges), reverse=True):
+        if covered:
+            break
+        price = cert.pricer.price(cut.edges).units
+        if price is None:
+            covered = True
+        elif left is not None:
+            left -= price
+            covered = left <= 0
+    checks["profit_cover"] = covered
 
     # (g) typical vertices: fresh component per cut, plus one untouched
     typical = True

@@ -228,6 +228,27 @@ def test_certify_5000_vertex_unit_path(capsys, tmp_path):
     assert (record["ok"], record["n_cuts"], record["profit"]) == (True, 1, "1")
 
 
+def test_certify_profit_near_the_quantity_limit(capsys, tmp_path):
+    # the profit fits the 64-bit range, but the cut prices sum past it
+    path = tmp_path / "near_limit.txt"
+    path.write_text(
+        "5 8\n"
+        "0 1 0.000001 0.000001\n"
+        "0 2 0 0.000001\n"
+        "0 3 0 0.000001\n"
+        "0 4 0 0.000001\n"
+        "0 2 3074457345618.258602 0.000001\n"
+        "0 4 3074457345618.258602 0.000001\n"
+        "2 4 0.000005 0.000001\n"
+        "3 1 3074457345618.258602 0.000001\n"
+    )
+    argv = ["certify", str(path), "--edges", "1,2,3,6", "--json"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert (record["ok"], record["profit"]) == (True, "9223372036854.775806")
+
+
 def test_stdin_instance(capsys, monkeypatch):
     import io
 

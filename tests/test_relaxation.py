@@ -506,10 +506,21 @@ def test_matching_matches_reference():
 # --- the work of one certify run, as counts
 
 
+def counted_prices(patch, counts: dict) -> None:
+    """Count `TreePricer.price` calls under `counts["price"]`."""
+    real_price = TreePricer.price
+
+    def counted_price(pricer, removed):
+        counts["price"] += 1
+        return real_price(pricer, removed)
+
+    patch.setattr(TreePricer, "price", counted_price)
+
+
 def certify_run_counts(monkeypatch, tmp_path, g: Graph, removed) -> dict:
-    """Calls of `mst` and `kruskal_order` computations in one `mstint
+    """Calls of `mst`, `kruskal_order` and `TreePricer.price` in one `mstint
     certify` run."""
-    counts = {"mst": 0, "kruskal_order": 0}
+    counts = {"mst": 0, "kruskal_order": 0, "price": 0}
     real_mst = mst_module.mst
 
     def counted_mst(*args, **kwargs):
@@ -529,6 +540,7 @@ def certify_run_counts(monkeypatch, tmp_path, g: Graph, removed) -> dict:
         patch.setattr(mst_module, "mst", counted_mst)
         patch.setattr(relaxation, "mst", counted_mst)
         patch.setattr(order, "func", counted_order)
+        counted_prices(patch, counts)
         assert main(["certify", str(path), "--edges", ",".join(map(str, removed))]) == 0
     return counts
 
@@ -537,13 +549,50 @@ def test_certify_work_counts(monkeypatch, tmp_path):
     for seed in range(6):
         g = gen_random(seed, 30 + 10 * seed, 120 + 40 * seed, (3, 1000)[seed % 2], 5)
         removed = sorted(max_tree_complement(g))
-        t = len(build_cut_sequence(g, frozenset(removed)).small_sides_cc) + 1
-        assert t > 20
+        n_cuts = len(build_cut_sequence(g, frozenset(removed)).cuts)
+        assert n_cuts > 20
         counts = certify_run_counts(monkeypatch, tmp_path, g, removed)
         # two, whatever t: T = MST(G), inside the run's one `TreePricer`,
         # and T' = MST(G minus F), which gives the prime edges T' minus T
         # and the profit; the pricer labels the components of T minus F and
-        # prices every cut of check (f) from the pieces of T minus C, with
+        # prices the cuts of check (f) from the pieces of T minus C, with
         # no Kruskal of its own
         assert counts["mst"] == 2
         assert counts["kruskal_order"] == 1
+        # check (f) prices the largest cuts first and stops once their
+        # prices cover p(F), which here takes at most half the cuts
+        assert 0 < counts["price"] <= n_cuts // 2, (seed, counts["price"], n_cuts)
+
+
+def test_profit_cover_prices_every_cut_only_when_it_fails(monkeypatch):
+    g = gen_random(3, 60, 240, 1000, 5)
+    removed = max_tree_complement(g)
+    cert = build_cut_sequence(g, removed)
+    prices = [cert.pricer.price(cut.edges) for cut in cert.cuts]
+    assert all(p.is_finite for p in prices) and len(prices) > 20
+    total = sum(p.units for p in prices)
+    disconnecting = dataclasses.replace(
+        cert,
+        cuts=cert.cuts[:-1]
+        + (PartialCutSpec(cert.cuts[-1].side, None, frozenset(range(g.n_edges))),),
+    )
+    cases = {
+        # the prices fall one unit short of the claimed profit
+        "short": (dataclasses.replace(cert, profit_value=finite(total + 1)), False),
+        "exact": (dataclasses.replace(cert, profit_value=finite(total)), True),
+        # an infinite profit is covered only by an infinite price
+        "infinite": (dataclasses.replace(cert, profit_value=INFINITY), False),
+        "infinite, disconnecting cut": (
+            dataclasses.replace(disconnecting, profit_value=INFINITY),
+            True,
+        ),
+    }
+    for name, (bad, covered) in cases.items():
+        counts = {"price": 0}
+        with monkeypatch.context() as patch:
+            counted_prices(patch, counts)
+            report = certify(g, removed, bad)
+        assert report == ref_certify(g, removed, bad), name
+        assert report["profit_cover"] is covered, name
+        if not covered:  # a cover that fails has priced every cut
+            assert counts["price"] == len(cert.cuts), name
