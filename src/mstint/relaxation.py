@@ -226,7 +226,7 @@ def certify(g: Graph, removed: frozenset[int], cert: RelaxationCertificate) -> d
     # (f) total cut profit, priced against the run's one rooted T, covers
     # the solution profit.  Every price is >= 0, as MST(G minus C) >= MST(G),
     # so the total covers p(F) once a prefix does: the cuts are priced
-    # largest first, ties to the later cut (its threshold is heavier), and
+    # largest first, ties to the later cut (its threshold is no lighter), and
     # each finite price comes off an exact integer remainder until one meets
     # it or a price is infinite.  An infinite p(F) is covered only by an
     # infinite price.

@@ -564,7 +564,7 @@ def test_certify_work_counts(monkeypatch, tmp_path):
         assert 0 < counts["price"] <= n_cuts // 2, (seed, counts["price"], n_cuts)
 
 
-def test_profit_cover_prices_every_cut_only_when_it_fails(monkeypatch):
+def test_profit_cover_short_exact_and_infinite(monkeypatch):
     g = gen_random(3, 60, 240, 1000, 5)
     removed = max_tree_complement(g)
     cert = build_cut_sequence(g, removed)
