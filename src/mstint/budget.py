@@ -50,6 +50,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Iterable
 
 from .cuts import CutNetwork, CutResult, global_min_cut, min_st_cut
@@ -100,7 +101,8 @@ def _better(a: ScoredCut, b: ScoredCut | None) -> bool:
 class CutTable:
     """Minimum u-v cuts at one threshold, over P = L∖R, where L holds the
     edges lighter than the threshold and R the removed ones among them,
-    on one flow network over P built at its first miss.
+    on one flow network over P built at its first miss.  L is the first
+    `n_lighter` edges of `Graph.kruskal_order`, read only to build it.
 
     A flow given a limit may stop past it and leave an unfinished cut: an
     empty side, and the flow's value, at most the cut's cost, as its cost.
@@ -112,9 +114,9 @@ class CutTable:
     inside P0; and P0∖P = R∖R0.
     """
 
-    def __init__(self, g: Graph, lighter: list[int]):
+    def __init__(self, g: Graph, n_lighter: int):
         self.g = g
-        self.lighter = lighter
+        self.n_lighter = n_lighter
         self.removed: frozenset[int] = frozenset()
         self.records: dict[tuple[int, int], tuple[CutResult, frozenset[int]]] = {}
         self._network: CutNetwork | None = None
@@ -128,7 +130,8 @@ class CutTable:
             if result.side or limit is not None and result.cost.units > limit:
                 return result
         if self._network is None:
-            self._network = CutNetwork(self.g, [i for i in self.lighter if i not in self.removed])
+            lighter = islice(self.g.kruskal_order, self.n_lighter)
+            self._network = CutNetwork(self.g, [i for i, _, _ in lighter if i not in self.removed])
         result = min_st_cut(self._network, u, v, limit=limit)
         self.records[u, v] = (result, self.removed)
         return result
@@ -160,8 +163,6 @@ class CutMemo:
     def __init__(self, g: Graph):
         self.g = g
         self.weights = g.distinct_weights()
-        self._by_weight = [i for i, _, _ in g.kruskal_order]
-        self._sorted_weights = [g.edges[i].weight for i in self._by_weight]
         self._tables: dict[int, CutTable] = {}
 
     @cached_property
@@ -188,8 +189,10 @@ class CutMemo:
         `threshold` that are not in `removed`."""
         table = self._tables.get(threshold)
         if table is None:
-            lighter = self._by_weight[: bisect_left(self._sorted_weights, threshold)]
-            table = self._tables[threshold] = CutTable(self.g, lighter)
+            n_lighter = bisect_left(
+                self.g.kruskal_order, threshold, key=lambda t: self.g.edges[t[0]].weight
+            )
+            table = self._tables[threshold] = CutTable(self.g, n_lighter)
         current = frozenset(i for i in removed if self.g.edges[i].weight < threshold)
         if current != table.removed:
             table.removed = current

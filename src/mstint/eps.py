@@ -41,8 +41,8 @@ def class_components(g: Graph) -> Iterator[Component]:
     union-find grows class by class over `g.kruskal_order`, so the whole
     sweep costs near-linear work per class.
     """
-    order = [i for i, _, _ in g.kruskal_order]
-    batches = [list(b) for _, b in groupby(order, key=lambda i: g.edges[i].weight)]
+    edges = g.edges
+    batches = [(w, list(b)) for w, b in groupby(g.kruskal_order, key=lambda t: edges[t[0]].weight)]
     parent = list(range(g.n_vertices))
 
     def find(v: int) -> int:
@@ -50,8 +50,8 @@ def class_components(g: Graph) -> Iterator[Component]:
             parent[v] = v = parent[parent[v]]
         return v
 
-    for k, batch in enumerate(batches):
-        roots = [(i, find(g.edges[i].u), find(g.edges[i].v)) for i in batch]
+    for k, (_, batch) in enumerate(batches):
+        roots = [(i, find(u), find(v)) for i, u, v in batch]
         crossing = [(i, ru, rv) for i, ru, rv in roots if ru != rv]
         if not crossing:
             continue
@@ -60,7 +60,7 @@ def class_components(g: Graph) -> Iterator[Component]:
         components: dict[int, list[tuple[int, int, int]]] = {}
         for triple in crossing:
             components.setdefault(find(triple[1]), []).append(triple)
-        threshold = g.edges[batches[k + 1][0]].weight if k + 1 < len(batches) else None
+        threshold = batches[k + 1][0] if k + 1 < len(batches) else None
         for part in components.values():
             yield part, threshold
 

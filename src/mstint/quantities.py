@@ -91,8 +91,7 @@ class ExtendedValue:
     """A nonnegative exact quantity or +infinity (units=None).
 
     Houses the `MST of a disconnected graph is infinite` convention and all
-    profit values.  Infinity absorbs addition and is the unique maximum of
-    the ordering.
+    profit values.  Infinity is the unique maximum of the ordering.
     """
 
     units: int | None
@@ -100,11 +99,6 @@ class ExtendedValue:
     @property
     def is_finite(self) -> bool:
         return self.units is not None
-
-    def __add__(self, other: "ExtendedValue") -> "ExtendedValue":
-        if self.units is None or other.units is None:
-            return INFINITY
-        return ExtendedValue(check_quantity(self.units + other.units))
 
     def __sub__(self, other: "ExtendedValue") -> "ExtendedValue":
         if other.units is None:

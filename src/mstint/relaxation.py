@@ -1,13 +1,14 @@
 """Cut-sequence construction and certification for a given solution F.
 
 Given a removal set F with finite profit, builds the sequence of partial
-cuts over the components of T minus F, chosen on the small side of the MST
-of the connected-components graph, and verifies the cost, laminarity,
-matching, and profit bounds that make the greedy analysis work.  One
-`mst.TreePricer` roots T = MST(G) for the whole run: it gives T, labels the
-components of T minus F, and, carried by the certificate, prices the cuts
-of the profit bound, largest cut first and only until their prices cover
-the solution's profit.
+cuts over the components of T minus F, one Kruskal pass over the
+components graph in `Graph.kruskal_order` cutting the small side at each
+join, and verifies the cost, laminarity, matching, and profit bounds that
+make the greedy analysis work.  One `mst.TreePricer` roots T = MST(G) for
+the whole run: it gives T, labels the components of T minus F, prices p(F)
+by its own scan, and, carried by the certificate, prices the cuts of the
+profit bound, largest cut first and only until their prices cover the
+solution's profit.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import Graph
-from .mst import DisconnectedGraphError, PartialCutSpec, TreePricer, mst, partial_cut
+from .mst import DisconnectedGraphError, PartialCutSpec, TreePricer, partial_cut
 from .quantities import (
     ExtendedValue,
     GuaranteeError,
@@ -82,12 +83,6 @@ def _matching(adjacent: list[list[int]], n_right: int) -> list[int] | None:
 def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertificate:
     pricer = TreePricer(g)
     tree = pricer.tree
-    after = mst(g, removed)
-    if not after.weight.is_finite:
-        raise DisconnectedGraphError("removal set disconnects the graph")
-    for i in sorted(removed):
-        if g.edges[i].cost is None:
-            raise InputError(f"edge {i} has infinite removal cost")
     component_of = pricer.pieces(removed)
     tree_removed = sorted(tree.edges & removed)
     t = len(tree_removed) + 1
@@ -95,39 +90,34 @@ def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertifica
     for v, c in enumerate(component_of):
         components[c].append(v)
 
-    # T is the unique MST under the (weight, index) order, so MST(G minus F)
-    # keeps T minus F; its other edges, in Kruskal order, are the MST of the
-    # components graph, and there are t - 1 of them iff F holds t - 1 edges
-    # of T
-    if not tree.edges - removed <= after.edges:
-        raise GuaranteeError("MST(G minus F) does not keep T minus F")
-    prime_edges = sorted(after.edges - tree.edges, key=lambda i: (g.edges[i].weight, i))
-    if len(prime_edges) != t - 1:
-        raise GuaranteeError(
-            f"the components graph's MST has {len(prime_edges)} edges, not {t - 1}"
-        )
-
-    # One union-find over the components, joined by the prime edges in
-    # order: before cut i it holds the forest of prime edges j < i.  Each
+    # Kruskal over the components graph: one union-find over the
+    # components, joined in `g.kruskal_order` by the edges outside F whose
+    # ends it still holds apart; the edges of T minus F join nothing.
+    # Before prime edge e_i it holds the forest of prime edges j < i.  Each
     # label keeps its member list and the most small sides any member has
     # been on; a join relabels the smaller list into the larger.
     label = list(range(t))
     members = [[c] for c in range(t)]
     top = [0] * t
+    prime_edges: list[int] = []
     sides_cc: list[frozenset[int]] = []
     cuts: list[PartialCutSpec] = []
-    for i in range(t - 1):
-        e_i = g.edges[prime_edges[i]]
-        left = label[component_of[e_i.u]]
-        right = label[component_of[e_i.v]]
+    for i, u, v in g.kruskal_order:
+        if len(prime_edges) == t - 1:
+            break
+        if i in removed:
+            continue
+        left = label[component_of[u]]
+        right = label[component_of[v]]
         if left == right:
-            raise GuaranteeError(f"prime edge {prime_edges[i]} closes a cycle")
+            continue
+        prime_edges.append(i)
         small = left if top[left] <= top[right] else right
         side_cc = frozenset(members[small])
         top[small] += 1
         sides_cc.append(side_cc)
         side_vertices = frozenset().union(*(components[c] for c in side_cc))
-        cuts.append(partial_cut(g, side_vertices, e_i.weight))
+        cuts.append(partial_cut(g, side_vertices, g.edges[i].weight))
         if len(members[left]) < len(members[right]):
             left, right = right, left
         for c in members[right]:
@@ -135,6 +125,14 @@ def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertifica
         members[left] += members[right]
         members[right] = []
         top[left] = max(top[left], top[right])
+    if len(prime_edges) < t - 1:
+        raise DisconnectedGraphError("removal set disconnects the graph")
+    # p(F) from the pricer's own scan, so check (e) sets it against the
+    # prime edges above
+    profit = pricer.price(removed)
+    for i in sorted(removed):
+        if g.edges[i].cost is None:
+            raise InputError(f"edge {i} has infinite removal cost")
 
     # perfect matching: cut i is matchable to any T&F edge crossing its
     # side.  Each such edge joins two distinct components and is listed
@@ -165,7 +163,7 @@ def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertifica
         matching=matching,
         cost_sum=cost_sum,
         profit_lb_sum=profit_lb_sum,
-        profit_value=after.weight - tree.weight,
+        profit_value=profit,
         solution_cost=check_quantity(sum(g.edges[i].cost for i in removed)),
         pricer=pricer,
     )

@@ -126,17 +126,23 @@ def brute_mst_weight(g: Graph, removed=frozenset()) -> ExtendedValue:
     return INFINITY if best is None else finite(best)
 
 
+def side_cost(g: Graph, side, participating) -> ExtendedValue:
+    """Total cost of the participating edges crossing `side`."""
+    costs = [
+        g.edges[i].cost
+        for i in participating
+        if (g.edges[i].u in side) != (g.edges[i].v in side)
+    ]
+    return INFINITY if None in costs else finite(sum(costs))
+
+
 def brute_min_st_cut_cost(g: Graph, s: int, t: int, participating) -> ExtendedValue:
     """Cheapest s/t-separating bipartition over the participating edges."""
     others = [v for v in range(g.n_vertices) if v not in (s, t)]
     best = INFINITY
     for bits in range(1 << len(others)):
         side = {s} | {v for k, v in enumerate(others) if bits >> k & 1}
-        cost = finite(0)
-        for i in participating:
-            e = g.edges[i]
-            if (e.u in side) != (e.v in side):
-                cost = cost + (INFINITY if e.cost is None else finite(e.cost))
+        cost = side_cost(g, side, participating)
         if cost < best:
             best = cost
     return best
@@ -149,12 +155,7 @@ def brute_min_st_cut_sides(g: Graph, s: int, t: int, participating) -> set[froze
     sides = set()
     for bits in range(1 << len(others)):
         side = frozenset({s} | {v for k, v in enumerate(others) if bits >> k & 1})
-        cost = finite(0)
-        for i in participating:
-            e = g.edges[i]
-            if (e.u in side) != (e.v in side):
-                cost = cost + (INFINITY if e.cost is None else finite(e.cost))
-        if cost == best:
+        if side_cost(g, side, participating) == best:
             sides.add(side)
     return sides
 

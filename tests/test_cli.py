@@ -18,7 +18,7 @@ from mstint import cli, cuts, eps, profit, protection, relaxation
 from mstint.cli import main
 from mstint.generators import gen_random
 from mstint.graph import serialize_instance
-from mstint.mst import PartialCutSpec, SpanningForest
+from mstint.mst import PartialCutSpec
 
 T3 = "3 3\n0 1 1 1\n1 2 2 1\n0 2 3 1\n"
 P2 = "2 1\n0 1 5 3\n"
@@ -155,33 +155,23 @@ def test_min_cut_duality_mismatch_exits_1(capsys, monkeypatch, t3_file):
 
 
 def test_certify_broken_certificate_exits_1(capsys, monkeypatch, t3_file):
-    # an MST(G minus F) that loses its edge outside T leaves the components
-    # graph's MST one edge short, which cannot give t - 1 cuts; the check
-    # is explicit code, so python -O keeps it
-    real = relaxation.mst
-    monkeypatch.setattr(
-        relaxation,
-        "mst",
-        lambda g, exclude=(): SpanningForest(
-            real(g, exclude).edges & real(g).edges, real(g, exclude).weight
-        ),
-    )
+    # cuts with no perfect matching to the removed tree edges break the
+    # relaxation argument; the check is explicit code, so python -O keeps it
+    message = "guarantee violated: no perfect matching of cuts to removed tree edges\n"
+    monkeypatch.setattr(relaxation, "_matching", lambda adjacent, n_right: None)
     code, _, err = run(capsys, ["certify", t3_file, "--edges", "0"])
     assert code == 1
-    assert err.startswith("guarantee violated:")
+    assert err == message
     proc = _run_optimized(
         "-c",
         "import sys\n"
         "from mstint import relaxation\n"
         "from mstint.cli import main\n"
-        "from mstint.mst import PartialCutSpec, SpanningForest\n"
-        "real = relaxation.mst\n"
-        "relaxation.mst = lambda g, exclude=(): SpanningForest(\n"
-        "    real(g, exclude).edges & real(g).edges, real(g, exclude).weight)\n"
+        "relaxation._matching = lambda adjacent, n_right: None\n"
         f"sys.exit(main(['certify', {t3_file!r}, '--edges', '0']))\n",
     )
     assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("guarantee violated:")
+    assert proc.stderr == message
 
 
 def test_certify_large_solution(capsys, tmp_path):
@@ -699,6 +689,26 @@ def test_degenerate_input_messages(capsys, tmp_path):
         ),
     ):
         assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+def test_certify_error_order(capsys, tmp_path):
+    # removing edges 0 and 2 leaves two components joined only by weight
+    # 9e12 edges, whose MST total leaves the 64-bit range: the overflow of
+    # p(F) is reported before edge 0's infinite removal cost
+    path = tmp_path / "wide"
+    path.write_text(
+        "4 5\n0 1 0 inf\n1 2 0 1\n2 3 0 1\n0 2 9000000000000 1\n0 3 9000000000000 1\n"
+    )
+    argv = ["certify", str(path), "--json", "--edges"]
+    assert run(capsys, argv + ["0,2"]) == (
+        2,
+        "",
+        "error: quantity out of range: 18000000000000000000\n",
+    )
+    code, out, _ = run(capsys, argv + ["2"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] and report["profit"] == "9000000000000"
 
 
 def test_undecodable_or_non_decimal_input_exits_2(capsys, tmp_path, t3_file):

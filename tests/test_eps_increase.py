@@ -201,3 +201,24 @@ def test_roots_name_pieces_of_the_tree():
 def test_deterministic():
     g = gen_random(42, 7, 12, 5, 5)
     assert eps_increase(g) == eps_increase(g)
+
+
+def test_unit_cycle_needs_no_adjacency_pass(monkeypatch):
+    # on a cycle of unit edges every vertex has degree 2 and each edge
+    # carries half of it, so Padberg and Rinaldi's test 2 merges the whole
+    # class before any maximum-adjacency pass; without the test each pass
+    # pops about n heap entries and the cut takes about n passes
+    cuts = importlib.import_module("mstint.cuts")
+    n = 2000
+    g = Graph(n, tuple(Edge(i, (i + 1) % n, 1, 1) for i in range(n)))
+    pops = 0
+    real_heappop = cuts.heappop
+
+    def counted_heappop(heap):
+        nonlocal pops
+        pops += 1
+        return real_heappop(heap)
+
+    monkeypatch.setattr(cuts, "heappop", counted_heappop)
+    assert eps_increase(g).cost == 2
+    assert pops <= n, pops

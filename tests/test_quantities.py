@@ -53,8 +53,6 @@ def test_overflow_checked():
     with pytest.raises(QuantityOverflowError):
         check_quantity(QUANTITY_MAX + 1)
     with pytest.raises(QuantityOverflowError):
-        finite(QUANTITY_MAX) + finite(1)
-    with pytest.raises(QuantityOverflowError):
         parse_quantity("99999999999999999999")
 
 
@@ -67,8 +65,6 @@ def test_extended_ordering_total():
 
 
 def test_extended_arithmetic():
-    assert INFINITY + finite(5) == INFINITY
-    assert finite(2) + finite(3) == finite(5)
     assert INFINITY - finite(7) == INFINITY
     assert finite(7) - finite(2) == finite(5)
     with pytest.raises(ArithmeticError):
