@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -347,7 +349,14 @@ def test_certify_matches_reference():
     kinds = set()
     for seed, g, removed in differential_cases():
         cert = build_cut_sequence(g, removed)
-        assert cert == ref_build(g, removed), seed
+        # any perfect matching will do: it feeds only profit_lb_sum, a sum
+        # over all of T & F, so every other field must equal the reference
+        ref = ref_build(g, removed)
+        assert dataclasses.replace(cert, matching=()) == dataclasses.replace(ref, matching=()), seed
+        assert sorted(cert.matching) == sorted(ref_mst(g).edges & removed), seed
+        for cut, i in zip(cert.cuts, cert.matching, strict=True):
+            e = g.edges[i]
+            assert (e.u in cut.side) != (e.v in cut.side), seed
         report = certify(g, removed, cert)
         assert report == ref_certify(g, removed, cert), seed
         assert report["ok"], (seed, report)
@@ -484,21 +493,45 @@ def test_mst_weight_overflow_is_checked():
 
 
 def test_matching_long_augmenting_path():
-    # each new left vertex displaces the whole chain: one augmenting path
-    # of 5000 steps, deeper than Python's recursion limit
+    # the first-free seed gives cut i edge i + 1 and leaves the last cut's
+    # only edge taken, so that cut displaces the whole chain: one augmenting
+    # path of 5000 steps, deeper than Python's recursion limit
     n = 5000
     adjacent = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
     assert _matching(adjacent, n) == list(range(n))
 
 
 def test_matching_matches_reference():
+    # any perfect matching will do: `_matching` must find one exactly when
+    # the reference does, and give each left vertex its own adjacent right one
     rng = random.Random(0x3A7C)
+    cases = []
     for _ in range(300):
         left, right = rng.randint(0, 8), rng.randint(0, 8)
         adjacent = [
             rng.sample(range(right), rng.randint(0, right)) for _ in range(left)
         ]
-        assert _matching(adjacent, right) == ref_matching(adjacent, right)
+        cases.append((adjacent, right))
+    # no perfect matching, though the first-free seed leaves only one or
+    # two left vertices unmatched, and no augmenting path starts at them
+    cases += [
+        ([[0], [0]], 2),
+        ([[0, 1], [0, 1], [0, 1]], 3),
+        ([[0, 1], [1, 2], [0, 2], [0, 1, 2], [3]], 5),
+        ([[1, 0], [2, 1], [3, 2], [0, 3], [0], [1]], 6),
+    ]
+    found = Counter()
+    for adjacent, right in cases:
+        expected = ref_matching(adjacent, right)
+        matched = _matching(adjacent, right)
+        found[expected is None] += 1
+        if expected is None:
+            assert matched is None, adjacent
+            continue
+        assert matched is not None and len(matched) == len(adjacent), adjacent
+        assert all(j in adjacent[i] for i, j in enumerate(matched)), adjacent
+        assert len(set(matched)) == len(matched), adjacent
+    assert min(found.values()) > 50, found
 
 
 # --- the work of one certify run, as counts
@@ -516,9 +549,9 @@ def counted_prices(patch, counts: dict) -> None:
 
 
 def certify_run_counts(monkeypatch, tmp_path, g: Graph, removed) -> dict:
-    """Calls of `mst`, `kruskal_order` and `TreePricer.price` in one `mstint
-    certify` run."""
-    counts = {"mst": 0, "kruskal_order": 0, "price": 0}
+    """Calls of `mst`, `kruskal_order`, `TreePricer.price` and `partial_cut`
+    in one `mstint certify` run."""
+    counts = {"mst": 0, "kruskal_order": 0, "price": 0, "partial_cut": 0}
     real_mst = mst_module.mst
 
     def counted_mst(*args, **kwargs):
@@ -532,12 +565,20 @@ def certify_run_counts(monkeypatch, tmp_path, g: Graph, removed) -> dict:
         counts["kruskal_order"] += 1
         return real_order(graph)
 
+    def counted_cut(*args, **kwargs):
+        counts["partial_cut"] += 1
+        return partial_cut(*args, **kwargs)
+
     path = tmp_path / "instance.txt"
     path.write_text(serialize_instance(g))
     with monkeypatch.context() as patch:
         patch.setattr(mst_module, "mst", counted_mst)
         patch.setattr(order, "func", counted_order)
         counted_prices(patch, counts)
+        # every module of the package that holds `partial_cut`
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mstint.") and vars(module).get("partial_cut") is partial_cut:
+                patch.setattr(module, "partial_cut", counted_cut)
         assert main(["certify", str(path), "--edges", ",".join(map(str, removed))]) == 0
     return counts
 
@@ -559,6 +600,9 @@ def test_certify_work_counts(monkeypatch, tmp_path):
         # check (f) prices the largest cuts first and stops once their
         # prices cover p(F), which here takes at most half the cuts
         assert 0 < counts["price"] <= n_cuts // 2, (seed, counts["price"], n_cuts)
+        # each cut is read off its union-find label in that Kruskal pass,
+        # with no scan of the graph of its own
+        assert counts["partial_cut"] == 0, (seed, counts["partial_cut"], n_cuts)
 
 
 def test_profit_cover_short_exact_and_infinite(monkeypatch):
