@@ -7,7 +7,8 @@ canonical: the source side is the residual-reachability set after a maximum
 flow, which is the unique source-side-minimal minimum cut.  A `CutNetwork`
 is the flow network over the participating edges, built once; each
 `min_st_cut` on it runs one Dinic flow from the base capacities, and the
-flow's last breadth-first search, the one that misses t, labels that side.
+flow's last breadth-first search, the one that misses t, labels that side,
+and the cut's edges are those of the network's arcs that leave it.
 Given a limit, the flow stops at the augmentation that takes it past the
 limit, and the cut comes back unfinished: no side, and that flow value, a
 lower bound on the cut's cost, as its cost.
@@ -16,7 +17,8 @@ cut cheaper than the best one found can cross, by maximum-adjacency passes
 (Nagamochi and Ibaraki 1992) with Padberg and Rinaldi's test 2 between
 them; a pass that misses a vertex has found a cut of cost 0.  Given a bound,
 it looks only for a cut strictly below it; `global_min_cut` and the eps
-sweep's class components call it.
+sweep's class components call it, and `global_min_cut` reads the edges
+of its side with `partial_cut`.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from heapq import heappop, heappush
 from typing import Iterable
 
 from .graph import Graph
+from .mst import partial_cut
 from .quantities import INFINITY, ExtendedValue, GuaranteeError
 
 
@@ -139,14 +142,12 @@ class CutNetwork:
                     it[u] += 1
 
 
-def _cut_of_side(g: Graph, participating: Iterable[int], side: set[int]) -> CutResult:
-    crossing = [i for i in participating if (g.edges[i].u in side) != (g.edges[i].v in side)]
-    if any(g.edges[i].cost is None for i in crossing):
-        cost = INFINITY
-    else:
-        # an unchecked sum: a cut is a candidate, and only an answer must fit
-        cost = ExtendedValue(sum(g.edges[i].cost for i in crossing))
-    return CutResult(frozenset(side), frozenset(crossing), cost)
+def _priced(g: Graph, side: frozenset[int], edges: frozenset[int]) -> CutResult:
+    """The cut of `side` crossed by `edges`, at their total cost."""
+    costs = [g.edges[i].cost for i in edges]
+    # an unchecked sum: a cut is a candidate, and only an answer must fit
+    cost = INFINITY if None in costs else ExtendedValue(sum(costs))
+    return CutResult(side, edges, cost)
 
 
 def min_st_cut(net: CutNetwork, s: int, t: int, *, limit: int | None = None) -> CutResult:
@@ -160,7 +161,13 @@ def min_st_cut(net: CutNetwork, s: int, t: int, *, limit: int | None = None) -> 
     flow = net.max_flow(s, t, limit=limit)
     if limit is not None and flow > limit:
         return CutResult(frozenset(), frozenset(), ExtendedValue(flow))
-    result = _cut_of_side(net.g, net.participating, set(net.reached))
+    side = frozenset(net.reached)
+    head, to, participating = net.head, net.to, net.participating
+    # a crossing edge has one arc out of the side: arc a is of edge a >> 1
+    crossing = frozenset(
+        participating[a >> 1] for v in net.reached for a in head[v] if to[a] not in side
+    )
+    result = _priced(net.g, side, crossing)
     # strong duality: the flow value must equal the cut cost
     if result.cost.is_finite:
         if flow != result.cost.units:
@@ -307,15 +314,15 @@ def min_cut(
 
 
 def global_min_cut(g: Graph, below: int | None = None) -> CutResult | None:
-    """Minimum-cost complete cut of g by `min_cut`, with its side (which
-    contains vertex 0) recomputed on g and checked to cost the cut's value."""
-    if g.n_vertices < 2:
-        raise ValueError("global min cut needs at least two vertices")
+    """Minimum-cost complete cut of g by `min_cut`; its side contains
+    vertex 0, and its edges, read by `partial_cut`, are checked to cost the
+    cut's value."""
     found = min_cut(g.n_vertices, [(e.u, e.v, e.cost) for e in g.edges], below)
     if found is None:
         return None
     value, side = found
-    result = _cut_of_side(g, range(g.n_edges), side)
+    cut = partial_cut(g, side, None)
+    result = _priced(g, cut.side, cut.edges)
     if result.cost != (INFINITY if value is None else ExtendedValue(value)):
         raise GuaranteeError(f"cut cost {result.cost} differs from its contraction value")
     return result

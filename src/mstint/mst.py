@@ -30,20 +30,17 @@ class PartialCutSpec:
     edges: frozenset[int]
 
 
-def mst(g: Graph, exclude: Collection[int] = ()) -> SpanningForest:
-    """Deterministic minimum spanning forest of g minus `exclude`.
+def mst(g: Graph) -> SpanningForest:
+    """Deterministic minimum spanning forest of g.
 
     Kruskal over `g.kruskal_order`, the edges sorted once per graph by
-    (weight, index), skipping excluded indices; ties always resolve to the
-    lower edge index, so repeated calls agree edge-for-edge.
+    (weight, index); ties always resolve to the lower edge index, so
+    repeated calls agree edge-for-edge.
     """
-    banned = frozenset(exclude)
     need = g.n_vertices - 1
     parent = list(range(g.n_vertices))
     chosen = []
     for i, u, v in g.kruskal_order:
-        if i in banned:
-            continue
         # path-halving finds of both endpoints' roots
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
@@ -150,27 +147,20 @@ class TreePricer:
         if need:
             return INFINITY
         lost_weight = sum(edges[i].weight for i in in_tree)
-        # the range check mst(g, F) makes of its total
+        # the range check mst makes of its total
         return finite(self.tree.weight.units + added - lost_weight) - self.tree.weight
 
 
 def partial_cut(g: Graph, side: Iterable[int], threshold: int | None) -> PartialCutSpec:
-    """Edges with exactly one endpoint in `side` and weight strictly < W.
-
-    Every crossing edge has one end on each side, so only the edges at the
-    smaller of S and V minus S are scanned.
-    """
+    """Edges with exactly one endpoint in `side` and weight strictly < W,
+    by one scan of the edges."""
     s = frozenset(side)
     n = g.n_vertices
     if not s or len(s) >= n or min(s) < 0 or max(s) >= n:
         raise ValueError("cut side must be a nonempty proper vertex subset")
-    scan = s if 2 * len(s) <= n else [v for v in range(n) if v not in s]
-    edges, incidence = g.edges, g.incidence
     crossing = frozenset(
         i
-        for v in scan
-        for i in incidence[v]
-        if ((edges[i].u in s) != (edges[i].v in s))
-        and (threshold is None or edges[i].weight < threshold)
+        for i, e in enumerate(g.edges)
+        if ((e.u in s) != (e.v in s)) and (threshold is None or e.weight < threshold)
     )
     return PartialCutSpec(s, threshold, crossing)

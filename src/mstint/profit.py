@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .budget import CutMemo, _run_greedy, best_ratio_cut, global_cut_candidate
 from .graph import Graph
-from .mst import PartialCutSpec, TreePricer, partial_cut
+from .mst import PartialCutSpec, TreePricer
 from .quantities import ExtendedValue, ZERO
 from .solution import InterdictionSolution, make_solution
 
@@ -22,13 +22,12 @@ def best_single_cut(
     candidate cut is affordable and profitable.  `memo`, of the same graph,
     shares the input graph's cuts with a later greedy.
     """
-    g = pricer.g
     # no edge is lighter than the lightest weight, so every cut there is empty
     thresholds = memo.weights[1:]
     tables = {w_threshold: memo.table(w_threshold, ()) for w_threshold in thresholds}
     best_cut: PartialCutSpec | None = None
     best_profit = ZERO
-    for e in g.edges:
+    for e in pricer.g.edges:
         # thresholds ascend and P only grows with them, so a pair's cut
         # only grows: once it is over budget, so are all above it
         for w_threshold in thresholds:
@@ -42,7 +41,9 @@ def best_single_cut(
             value = pricer.price(cut.edges)
             if value > best_profit:
                 best_profit = value
-                best_cut = partial_cut(g, cut.side, w_threshold)
+                # R = ∅, so P is every edge lighter than W and the cut
+                # over P is the partial cut
+                best_cut = PartialCutSpec(cut.side, w_threshold, cut.edges)
                 if not value.is_finite:
                     return best_cut, best_profit  # nothing beats infinity
     return best_cut, best_profit

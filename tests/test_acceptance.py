@@ -170,8 +170,8 @@ def test_acceptance_6_bad_example_goldens():
     opt = oracle_profit(g, budget)
     if opt.profit != finite(4_500_000):
         violations.append(("oracle profit", str(opt.profit)))
-    if mst(g, opt.edges).weight != finite(105_500_000):
-        violations.append(("optimal MST weight", str(mst(g, opt.edges).weight)))
+    if prim_mst_weight(g, opt.edges) != finite(105_500_000):
+        violations.append(("optimal MST weight", str(prim_mst_weight(g, opt.edges))))
     sol = profit_approximate(g, budget)
     if sol.cost > budget or sol.profit != finite(4_500_000):
         violations.append(("algorithm", sol.cost, str(sol.profit)))

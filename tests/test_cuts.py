@@ -91,6 +91,8 @@ def test_min_cut_needs_two_vertices():
     for n in (0, 1):
         with pytest.raises(ValueError):
             min_cut(n, [])
+    with pytest.raises(ValueError):
+        global_min_cut(Graph(1, ()))
     assert min_cut(2, []) == (0, {0})
 
 
@@ -221,8 +223,9 @@ def reference_flow_cases():
 
 
 def test_min_st_cut_matches_reference_flow():
-    # the flow value and the source side of every cut, against Dinic with
-    # full searches and a separate residual search for the side
+    # the flow value, the source side and the crossing edges of every cut,
+    # against Dinic with full searches and a separate residual search for
+    # the side
     adjacent = infinite = disconnected = 0
     for seed, g, participating, pairs in reference_flow_cases():
         net = CutNetwork(g, participating)
@@ -232,6 +235,8 @@ def test_min_st_cut_matches_reference_flow():
             cut = min_st_cut(net, s, t)
             assert net.max_flow(s, t) == flow, (seed, s, t)
             assert cut.side == side, (seed, s, t)
+            ends = [(i, g.edges[i].u, g.edges[i].v) for i in participating]
+            assert cut.edges == {i for i, u, v in ends if (u in side) != (v in side)}, (seed, s, t)
             if cut.cost.is_finite:
                 assert cut.cost.units == flow, (seed, s, t)
             else:

@@ -3,7 +3,7 @@ import pytest
 from conftest import brute_components, price
 from mstint.generators import gen_bad_example, gen_random
 from mstint.mst import mst
-from mstint.oracle import oracle_profit
+from mstint.oracle import oracle_profit, prim_mst_weight
 from mstint.quantities import finite
 
 SCALE = 1_000_000
@@ -49,7 +49,7 @@ def test_bad_example_optimum_golden():
     g, budget = gen_bad_example(100, 4, 5)
     opt = oracle_profit(g, budget, finite_only=True)
     assert opt.profit == finite(4_500_000)  # b - 1/2
-    assert mst(g, opt.edges).weight == finite(105_500_000)  # W + b + 1/2
+    assert prim_mst_weight(g, opt.edges) == finite(105_500_000)  # W + b + 1/2
 
 
 def test_bad_example_v2v3_removal_golden():
@@ -60,7 +60,7 @@ def test_bad_example_v2v3_removal_golden():
         if {e.u, e.v} == {g.n_vertices - 3, g.n_vertices - 2}
     ]
     assert g.edges[v2v3].cost == 5 * SCALE  # B + 1: just over the budget
-    assert mst(g, {v2v3}).weight == finite(201 * SCALE)  # 2W + 1
+    assert prim_mst_weight(g, {v2v3}) == finite(201 * SCALE)  # 2W + 1
     assert price(g, {v2v3}) == finite(100 * SCALE)
 
 

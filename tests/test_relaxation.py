@@ -422,7 +422,7 @@ def test_cut_profits_match_kruskal():
         for _ in range(20):
             p = rng.choice((0.05, 0.2, 0.5))
             sets.append(frozenset(i for i in range(g.n_edges) if rng.random() < p))
-        expected = [mst(g, cut).weight - tree.weight for cut in sets]
+        expected = [ref_mst(g, cut).weight - tree.weight for cut in sets]
         pricer = TreePricer(g)
         assert [pricer.price(cut) for cut in sets] == expected, seed
         disconnecting += sum(not value.is_finite for value in expected)
@@ -474,11 +474,9 @@ def test_mst_matches_reference():
         graphs.append(g)
     disconnected = 0
     for g in graphs:
-        picks = [i for i in range(g.n_edges) if rng.random() < 0.3]
-        for exclude in ((), picks, tuple(picks), set(picks), frozenset(picks)):
-            forest = mst(g, exclude)
-            assert forest == ref_mst(g, exclude)
-            disconnected += not forest.weight.is_finite
+        forest = mst(g)
+        assert forest == ref_mst(g)
+        disconnected += not forest.weight.is_finite
     assert disconnected > 0
 
 
@@ -489,7 +487,7 @@ def test_mst_weight_overflow_is_checked():
         ref_mst(g)
     with pytest.raises(QuantityOverflowError):
         mst(g)
-    assert mst(g, {1}).weight == INFINITY
+    assert mst(Graph(3, g.edges[:1])).weight == INFINITY
 
 
 def test_matching_long_augmenting_path():
