@@ -164,7 +164,7 @@ def _cmd_gen(args) -> int:
         g = gen_random(args.seed, args.n, args.m, args.max_weight, args.max_cost)
         sys.stdout.write(serialize_instance(g))
     else:
-        g, budget = gen_bad_example(args.heavy_weight, args.removals, args.components)
+        g, budget = gen_bad_example(args.heavy_weight, args.components)
         sys.stdout.write(f"# recommended budget: {format_quantity(budget)}\n")
         sys.stdout.write(serialize_instance(g))
     return EXIT_OK
@@ -225,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=_cmd_gen)
     pb = gen_sub.add_parser("bad")
     pb.add_argument("--heavy-weight", type=_digits, default=100)
-    pb.add_argument("--removals", type=_digits, default=4)
     pb.add_argument("--components", type=_digits, default=5)
     pb.set_defaults(func=_cmd_gen)
     return parser

@@ -56,28 +56,27 @@ def gen_random(
     )
 
 
-def gen_bad_example(heavy_weight: int, removals: int, components: int) -> tuple[Graph, int]:
+def gen_bad_example(heavy_weight: int, components: int) -> tuple[Graph, int]:
     """Adversarial profit instance; returns (graph, recommended budget).
 
-    A path of `components` unit-cost zero-weight edges (so `removals` =
-    components - 1 removals shatter it completely), a star of weight-1
+    A path of `components` vertices joined by unit-cost zero-weight edges,
+    which removals = components - 1 shatter completely, a star of weight-1
     uncuttable edges into a hub, and five special edges whose geometry
-    makes total-weight approximations return a near-empty solution.
-    `heavy_weight` must exceed removals + 1; "uncuttable" costs are
-    materialized as removals + 2, which no recommended budget can afford.
+    makes total-weight approximations return a near-empty solution.  The
+    recommended budget affords the removals and half a unit more.
+    `heavy_weight` must exceed `components`; "uncuttable" costs are
+    materialized as components + 1, which no recommended budget can afford.
     """
     if components + 4 > MAX_VERTICES:
         raise InputError("more than 10**6 vertices")
     if components < 2:
         raise InputError("need at least two path vertices")
-    if removals != components - 1:
-        raise InputError("the path topology requires removals == components - 1")
-    if heavy_weight <= removals + 1:
-        raise InputError("heavy weight must exceed removals + 1")
+    if heavy_weight <= components:
+        raise InputError("heavy weight must exceed components")
 
     w_heavy = heavy_weight * SCALE
     half = SCALE // 2
-    blocked = (removals + 2) * SCALE  # stands in for an infinite removal cost
+    blocked = (components + 1) * SCALE  # stands in for an infinite removal cost
     v1 = components
     v2 = components + 1
     v3 = components + 2
@@ -88,9 +87,9 @@ def gen_bad_example(heavy_weight: int, removals: int, components: int) -> tuple[
     edges += [
         Edge(v1, v2, 0, blocked),
         Edge(v1, v3, w_heavy, blocked),
-        Edge(v2, v3, 0, (removals + 1) * SCALE),
+        Edge(v2, v3, 0, components * SCALE),
         Edge(v1, v4, w_heavy + half, blocked),
         Edge(v2, v4, w_heavy, half),
     ]
-    budget = removals * SCALE + half
+    budget = (components - 1) * SCALE + half
     return Graph(components + 4, tuple(edges)), budget

@@ -87,43 +87,17 @@ def _mask_edges(mask: int) -> tuple[int, ...]:
     return tuple(edges)
 
 
-def _cheapest_disconnecting_cut(g: Graph) -> tuple[int, int] | None:
-    """(cost, edge mask) of the cheapest complete cut, by bipartition scan."""
-    best: tuple[int, int] | None = None
-    for side_bits in range(1, 1 << (g.n_vertices - 1)):
-        side = {0} | {v for v in range(1, g.n_vertices) if side_bits >> v & 1}
-        if len(side) == g.n_vertices:
-            continue
-        mask = 0
-        cost = 0
-        infinite = False
-        for i, e in enumerate(g.edges):
-            if (e.u in side) != (e.v in side):
-                if e.cost is None:
-                    infinite = True
-                    break
-                mask |= 1 << i
-                cost += e.cost
-        if infinite:
-            continue
-        if best is None or (cost, _mask_edges(mask)) < (best[0], _mask_edges(best[1])):
-            best = (cost, mask)
-    return best
-
-
 def _solution(g: Graph, mask: int, cost: int, gain: ExtendedValue) -> InterdictionSolution:
     # the answer is range-checked as the solvers' answers are
     return InterdictionSolution(frozenset(_mask_edges(mask)), check_quantity(cost), gain)
 
 
 def _min_cost_subset(g: Graph, qualifies) -> InterdictionSolution:
-    """Cheapest edge subset whose profit qualifies; lexicographic ties."""
+    """Cheapest edge subset whose profit qualifies; lexicographic ties.
+    A subset that disconnects g prices at INFINITY like any other."""
     _guard(g)
     base = _base_weight(g)
     best: tuple[int, tuple[int, ...], int, ExtendedValue] | None = None
-    seed = _cheapest_disconnecting_cut(g)
-    if seed is not None and qualifies(INFINITY):
-        best = (seed[0], _mask_edges(seed[1]), seed[1], INFINITY)
     for mask in range(1, 1 << g.n_edges):
         cost = _subset_cost(g, mask)
         if cost is None:

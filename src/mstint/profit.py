@@ -44,8 +44,6 @@ def best_single_cut(
                 # R = ∅, so P is every edge lighter than W and the cut
                 # over P is the partial cut
                 best_cut = PartialCutSpec(cut.side, w_threshold, cut.edges)
-                if not value.is_finite:
-                    return best_cut, best_profit  # nothing beats infinity
     return best_cut, best_profit
 
 

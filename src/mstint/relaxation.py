@@ -39,7 +39,6 @@ class RelaxationCertificate:
     small_sides_cc: tuple[frozenset[int], ...]  # component-index sides
     matching: tuple[int, ...]  # cut i -> matched original edge in T & F
     cost_sum: int
-    profit_lb_sum: int  # sum of w(e_i') - w(e_pi(i))
     profit_value: ExtendedValue  # p_G(F)
     solution_cost: int  # c(F)
     pricer: TreePricer = field(compare=False, repr=False)  # the run's rooted T
@@ -196,16 +195,12 @@ def build_cut_sequence(g: Graph, removed: frozenset[int]) -> RelaxationCertifica
     cost_sum = check_quantity(
         sum(map(cost_of.__getitem__, chain.from_iterable(cut.edges for cut in cuts)))
     )
-    profit_lb_sum = sum(
-        edges[prime_edges[i]].weight - edges[matching[i]].weight for i in range(t - 1)
-    )
     return RelaxationCertificate(
         cuts=tuple(cuts),
         tree_prime_edges=tuple(prime_edges),
         small_sides_cc=tuple(sides_cc),
         matching=matching,
         cost_sum=cost_sum,
-        profit_lb_sum=profit_lb_sum,
         profit_value=profit,
         solution_cost=check_quantity(sum(cost_of.values())),
         pricer=pricer,
@@ -253,13 +248,23 @@ def certify(g: Graph, removed: frozenset[int], cert: RelaxationCertificate) -> d
             owner[c] = k
     checks["laminar_sides"] = laminar
 
-    # (e) matched weight differences sum exactly to the profit
-    if cert.profit_value.is_finite:
-        checks["matching_profit_identity"] = (
-            cert.profit_lb_sum == cert.profit_value.units
+    # (e) the matching is a bijection from the cuts onto T&F, each cut's
+    # edge crossing its side, and the matched weight differences
+    # w(e_i') - w(e_pi(i)) sum exactly to the profit
+    edges = g.edges
+    matching = cert.matching
+    checks["matching_profit_identity"] = (
+        cert.profit_value.is_finite
+        and len(matching) == len(cert.cuts) == len(cert.tree_prime_edges) == t - 1
+        and sorted(matching) == sorted(cert.pricer.tree.edges & removed)
+        and all(
+            (edges[i].u in cut.side) != (edges[i].v in cut.side)
+            for cut, i in zip(cert.cuts, matching)
         )
-    else:
-        checks["matching_profit_identity"] = False
+        and sum(edges[i].weight for i in cert.tree_prime_edges)
+        - sum(edges[i].weight for i in matching)
+        == cert.profit_value.units
+    )
 
     # (f) total cut profit, priced against the run's one rooted T, covers
     # the solution profit.  Every price is >= 0, as MST(G minus C) >= MST(G),

@@ -162,7 +162,7 @@ def test_acceptance_5_supermodularity():
 
 def test_acceptance_6_bad_example_goldens():
     violations = []
-    g, budget = gen_bad_example(100, 4, 5)
+    g, budget = gen_bad_example(100, 5)
     if mst(g).weight != finite(101 * SCALE):
         violations.append(("initial MST", str(mst(g).weight)))
     if budget != 4_500_000:

@@ -392,7 +392,7 @@ def test_gen_bad(capsys, tmp_path):
         ["gen", "random", "--seed", "1", "--n", "\u0665", "--m", "6"],
         ["gen", "random", "--seed", "1", "--n", "5", "--m", "+6"],
         ["gen", "random", "--seed", "1", "--n", "5", "--m", "6", "--max-cost", " 9"],
-        ["gen", "bad", "--removals", "-4"],
+        ["gen", "bad", "--heavy-weight", "-4"],
         ["gen", "bad", "--components", "\u0665"],
     ],
 )
@@ -650,8 +650,7 @@ def test_vertex_count_is_capped(capsys, tmp_path):
     "argv",
     [
         ["gen", "random", "--seed", "1", "--n", "1000001", "--m", "1000000"],
-        ["gen", "bad", "--components", "999997", "--removals", "999996",
-         "--heavy-weight", "999998"],
+        ["gen", "bad", "--components", "999997", "--heavy-weight", "999998"],
     ],
 )
 def test_gen_keeps_to_the_vertex_cap(capsys, argv):

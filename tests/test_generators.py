@@ -34,26 +34,26 @@ def test_gen_random_rejects_impossible():
 
 
 def test_bad_example_budget_and_shape():
-    g, budget = gen_bad_example(100, 4, 5)
+    g, budget = gen_bad_example(100, 5)
     assert budget == 4 * SCALE + SCALE // 2
     assert g.n_vertices == 9  # 5 path vertices + 4 special
     assert g.n_edges == 4 + 5 + 5  # path + star + five special edges
 
 
 def test_bad_example_mst_is_w_plus_1():
-    g, _ = gen_bad_example(100, 4, 5)
+    g, _ = gen_bad_example(100, 5)
     assert mst(g).weight == finite(101 * SCALE)
 
 
 def test_bad_example_optimum_golden():
-    g, budget = gen_bad_example(100, 4, 5)
+    g, budget = gen_bad_example(100, 5)
     opt = oracle_profit(g, budget, finite_only=True)
     assert opt.profit == finite(4_500_000)  # b - 1/2
     assert prim_mst_weight(g, opt.edges) == finite(105_500_000)  # W + b + 1/2
 
 
 def test_bad_example_v2v3_removal_golden():
-    g, _ = gen_bad_example(100, 4, 5)
+    g, _ = gen_bad_example(100, 5)
     (v2v3,) = [
         i
         for i, e in enumerate(g.edges)
@@ -66,8 +66,6 @@ def test_bad_example_v2v3_removal_golden():
 
 def test_bad_example_parameter_validation():
     with pytest.raises(ValueError):
-        gen_bad_example(100, 3, 5)  # removals must equal components - 1
+        gen_bad_example(5, 5)  # heavy weight too small
     with pytest.raises(ValueError):
-        gen_bad_example(5, 4, 5)  # heavy weight too small
-    with pytest.raises(ValueError):
-        gen_bad_example(100, 0, 1)
+        gen_bad_example(100, 1)

@@ -36,7 +36,7 @@ def test_best_single_cut_unaffordable(t3):
 
 
 def test_best_single_cut_bad_example():
-    g, budget = gen_bad_example(100, 4, 5)
+    g, budget = gen_bad_example(100, 5)
     _, value = single_cut(g, budget)
     assert value >= finite(SCALE)  # at least a single path-edge cut
 
@@ -55,7 +55,7 @@ def test_profit_approximate_t3_budget3_disconnects(t3):
 
 
 def test_profit_approximate_bad_example_golden():
-    g, budget = gen_bad_example(100, 4, 5)
+    g, budget = gen_bad_example(100, 5)
     sol = profit_approximate(g, budget)
     assert sol.cost <= budget
     # documented prior methods reach only 0.5 on this family

@@ -76,7 +76,7 @@ def test_t3_certificate_hand_values(t3):
     assert cut.edges == frozenset({0})
     assert cert.matching == (0,)
     assert cert.cost_sum == 1_000_000
-    assert cert.profit_lb_sum == 2_000_000
+    assert t3.edges[2].weight - t3.edges[0].weight == 2_000_000  # check (e)'s sum
     assert cert.profit_value == finite(2_000_000)
     report = certify(t3, removed, cert)
     assert report["ok"], report
@@ -141,7 +141,10 @@ def test_matching_profit_identity_is_exact():
         removed = connected_random_subset(g, random.Random(seed + 77))
         cert = build_cut_sequence(g, removed)
         assert cert.profit_value.is_finite
-        assert cert.profit_lb_sum == cert.profit_value.units
+        lb_sum = sum(g.edges[i].weight for i in cert.tree_prime_edges) - sum(
+            g.edges[i].weight for i in cert.matching
+        )
+        assert lb_sum == cert.profit_value.units
 
 
 # --- reference certify path: a Kruskal that sorts on every call, a fresh
@@ -283,10 +286,6 @@ def ref_build(g: Graph, removed: frozenset[int]) -> RelaxationCertificate:
         small_sides_cc=tuple(sides_cc),
         matching=matching,
         cost_sum=check_quantity(sum(g.edges[i].cost for cut in cuts for i in cut.edges)),
-        profit_lb_sum=sum(
-            g.edges[prime_edges[i]].weight - g.edges[matching[i]].weight
-            for i in range(t - 1)
-        ),
         profit_value=ref_profit(g, removed),
         solution_cost=check_quantity(sum(g.edges[i].cost for i in removed)),
         pricer=TreePricer(g),
@@ -312,8 +311,17 @@ def ref_certify(g: Graph, removed: frozenset[int], cert: RelaxationCertificate) 
         for x, a in enumerate(sides)
         for b in sides[x + 1 :]
     )
+    matching, prime = cert.matching, cert.tree_prime_edges
     checks["matching_profit_identity"] = (
-        cert.profit_value.is_finite and cert.profit_lb_sum == cert.profit_value.units
+        cert.profit_value.is_finite
+        and len(matching) == len(set(matching)) == len(cert.cuts) == len(prime) == t - 1
+        and set(matching) == ref_mst(g).edges & removed
+        and all(
+            len({g.edges[i].u, g.edges[i].v} & cut.side) == 1
+            for cut, i in zip(cert.cuts, matching)
+        )
+        and sum(g.edges[p].weight - g.edges[q].weight for p, q in zip(prime, matching))
+        == cert.profit_value.units
     )
     prices = [ref_profit(g, cut.edges).units for cut in cert.cuts]
     total = INFINITY if None in prices else finite(sum(prices))
@@ -349,8 +357,8 @@ def test_certify_matches_reference():
     kinds = set()
     for seed, g, removed in differential_cases():
         cert = build_cut_sequence(g, removed)
-        # any perfect matching will do: it feeds only profit_lb_sum, a sum
-        # over all of T & F, so every other field must equal the reference
+        # any perfect matching will do: check (e) sums its weights over all
+        # of T & F, so every other field must equal the reference
         ref = ref_build(g, removed)
         assert dataclasses.replace(cert, matching=()) == dataclasses.replace(ref, matching=()), seed
         assert sorted(cert.matching) == sorted(ref_mst(g).edges & removed), seed
@@ -408,6 +416,21 @@ def test_certify_matches_reference_on_tampered_certificates():
             checked += 1
     assert checked >= 600
     assert min(failed.values()) >= 20, failed
+
+
+def test_certify_rejects_a_rotated_matching():
+    # the rotated matching is still a bijection onto T & F and keeps the
+    # weight sum of check (e); only its crossing test catches the cuts
+    # whose edge now misses their side, and here every rotation has one
+    for seed in range(200):
+        n = 6 + seed % 30
+        g = gen_random(seed, n, 3 * n, (1, 3, 1000)[seed % 3], 10)
+        removed = max_tree_complement(g)
+        cert = build_cut_sequence(g, removed)
+        bad = dataclasses.replace(cert, matching=cert.matching[1:] + cert.matching[:1])
+        report = certify(g, removed, bad)
+        assert report == ref_certify(g, removed, bad), seed
+        assert not report["matching_profit_identity"] and not report["ok"], seed
 
 
 def test_cut_profits_match_kruskal():
